@@ -25,7 +25,7 @@ dependency graph, so physics results are exact while timing is simulated.
 
 from repro.amt.errors import AmtError, FutureError, DeadlockError
 from repro.amt.future import Future, SharedFuture
-from repro.amt.graph import CapturedSegment, GraphStats, GraphTemplate
+from repro.amt.graph import SYNC, CapturedSegment, GraphStats, GraphTemplate
 from repro.amt.runtime import AmtRuntime, RunStats
 from repro.amt.algorithms import for_each, for_loop, parallel_reduce
 from repro.amt.counters import IdleRateCounter
@@ -36,6 +36,7 @@ __all__ = [
     "DeadlockError",
     "Future",
     "SharedFuture",
+    "SYNC",
     "CapturedSegment",
     "GraphStats",
     "GraphTemplate",

@@ -25,6 +25,14 @@ interleaves blocking ``wait_all`` barriers: each flush becomes one
 original ``wait_all`` checked so replay reproduces the barrier's rethrow
 semantics exactly.
 
+Every captured task carries a ``spec`` (:attr:`SimTask.spec
+<repro.simcore.pool.SimTask>`): the runtime marks barriers, gates and
+ready/exceptional futures with :data:`SYNC`, and work tasks carry whatever
+their creator passed to ``async_``/``continuation``/``dataflow`` — the
+HPX program attaches a :class:`~repro.core.kernel_graph.TaskSpec`, which
+is what lets :mod:`repro.parallel.plan` run a captured graph off the
+simulator.
+
 A template is only valid while the graph's structure is: programs must
 invalidate (drop) it when the variant, partition sizes, or shape change,
 when a checkpoint rollback rewinds the cycle counter, or when a fault
@@ -42,12 +50,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simcore.pool import SimTask
 
 __all__ = [
+    "SYNC",
     "CapturedSegment",
     "GraphTemplate",
     "GraphStats",
     "reset_segment",
     "snapshot_segment",
 ]
+
+
+#: The ``spec`` of a pure synchronization task (``when_all`` barriers and
+#: gates, ready and exceptional futures): graph structure, no work.
+SYNC = "sync"
 
 
 @dataclass(frozen=True)

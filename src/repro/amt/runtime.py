@@ -52,7 +52,7 @@ from typing import Any, Callable, Sequence
 
 from repro.amt.errors import AmtError, TaskGroupError
 from repro.amt.future import Future
-from repro.amt.graph import GraphTemplate, reset_segment, snapshot_segment
+from repro.amt.graph import SYNC, GraphTemplate, reset_segment, snapshot_segment
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from repro.simcore.policy import SchedulerPolicy
@@ -250,6 +250,7 @@ class AmtRuntime:
         depends: Sequence[Future] = (),
         priority: int = 0,
         idempotent: bool = False,
+        spec: Any = None,
     ) -> Future:
         """Create a task running ``fn(*args)``; returns its future.
 
@@ -257,13 +258,17 @@ class AmtRuntime:
         after a non-blocking ``when_all`` barrier); ``priority`` is honoured
         only under a priority-enabled scheduler policy.  ``idempotent``
         declares the body safe to re-execute, making it eligible for
-        bounded replay under a :attr:`replay` policy.  If any dependency
-        failed, the task short-circuits and propagates that failure.
+        bounded replay under a :attr:`replay` policy.  ``spec`` describes
+        the task's work for consumers of a captured graph
+        (:attr:`SimTask.spec <repro.simcore.pool.SimTask>`).  If any
+        dependency failed, the task short-circuits and propagates that
+        failure.
         """
         task = SimTask(
             cost_ns=cost_ns,
             tag=tag or getattr(fn, "__name__", "task"),
             priority=priority,
+            spec=spec,
         )
         fut = Future(self, task)
         depends = tuple(depends)
@@ -290,6 +295,7 @@ class AmtRuntime:
         tag: str | None = None,
         priority: int = 0,
         idempotent: bool = False,
+        spec: Any = None,
     ) -> Future:
         """Attach ``fn(parent_future, *args)`` to run after *parent*.
 
@@ -297,12 +303,13 @@ class AmtRuntime:
         and the returned future carries the parent's exception unchanged
         (HPX rethrows the predecessor's exception when the continuation
         calls ``get``; our continuations read eagerly, so the propagation
-        happens for them).
+        happens for them).  ``spec`` is as for :meth:`async_`.
         """
         task = SimTask(
             cost_ns=cost_ns,
             tag=tag or getattr(fn, "__name__", "then"),
             priority=priority,
+            spec=spec,
         )
         fut = Future(self, task)
         run = self._bind_body(fut, task, lambda: fn(parent, *args), idempotent)
@@ -330,7 +337,7 @@ class AmtRuntime:
         task's tag (root causes are flattened through nested barriers).
         """
         futures = list(futures)
-        task = SimTask(cost_ns=0, tag=tag)
+        task = SimTask(cost_ns=0, tag=tag, spec=SYNC)
         fut = Future(self, task)
 
         def body() -> None:
@@ -356,11 +363,13 @@ class AmtRuntime:
         *args: Any,
         cost_ns: int = 0,
         tag: str | None = None,
+        spec: Any = None,
     ) -> Future:
         """``hpx::dataflow``: run ``fn(futures, *args)`` when all are ready.
 
         Short-circuits to a failed state (carrying the aggregated
-        ``TaskGroupError``) if any input future failed.
+        ``TaskGroupError``) if any input future failed.  ``spec`` is as for
+        :meth:`async_`; the internal gate is a :data:`SYNC` task.
         """
         gate = self.when_all(futures, tag="dataflow-gate")
         return self.continuation(
@@ -369,11 +378,12 @@ class AmtRuntime:
             *args,
             cost_ns=cost_ns,
             tag=tag or getattr(fn, "__name__", "dataflow"),
+            spec=spec,
         )
 
     def make_ready_future(self, value: Any = None) -> Future:
         """A future that is already ready (no task, no cost)."""
-        task = SimTask(cost_ns=0, tag="ready")
+        task = SimTask(cost_ns=0, tag="ready", spec=SYNC)
         fut = Future(self, task)
         task.body = lambda: fut._set_value(value)
         self._register(task, fut)
@@ -381,7 +391,7 @@ class AmtRuntime:
 
     def make_exceptional_future(self, exc: BaseException) -> Future:
         """A future that is already failed (``hpx::make_exceptional_future``)."""
-        task = SimTask(cost_ns=0, tag="exceptional")
+        task = SimTask(cost_ns=0, tag="exceptional", spec=SYNC)
         fut = Future(self, task)
         task.body = lambda: fut._set_exception(exc)
         self._register(task, fut)

@@ -25,6 +25,11 @@ via :class:`HpxVariant`:
 Temporaries are task-local by default (the jemalloc/data-locality trick);
 the allocator model charges the alternative global-scratch strategy with
 extra allocation latency and memory-traffic penalty.
+
+The kernels, their rates and their replay safety come from the kernel table
+(:data:`repro.core.kernel_graph.KERNELS`).  Every work task carries the
+:class:`~repro.core.kernel_graph.TaskSpec` its body executes, which is
+what the process backend lowers the captured graph from.
 """
 
 from __future__ import annotations
@@ -32,24 +37,24 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro.amt.future import Future
 from repro.amt.graph import GraphStats, GraphTemplate
 from repro.amt.runtime import AmtRuntime
-from repro.core.kernel_graph import ProblemShape
+from repro.core.kernel_graph import (
+    KERNELS,
+    Kernel,
+    ProblemShape,
+    TaskSpec,
+    execute_spec,
+    spec_is_idempotent,
+)
 from repro.core.partitioning import partition_ranges
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.kernels import eos as eos_k
-from repro.lulesh.kernels import hourglass as hg_k
-from repro.lulesh.kernels import kinematics as kin_k
-from repro.lulesh.kernels import nodal as nodal_k
-from repro.lulesh.kernels import qcalc as q_k
-from repro.lulesh.kernels import stress as stress_k
 from repro.lulesh.kernels.constraints import (
-    calc_courant_constraint,
-    calc_hydro_constraint,
     reduce_time_constraints,
     time_increment,
 )
@@ -102,33 +107,28 @@ class HpxVariant:
         return "full (Fig.8)"
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """One loop's binding: simulated rate + real body + temp-array count.
+def _kernels(*names: str) -> tuple[Kernel, ...]:
+    return tuple(KERNELS[nm] for nm in names)
 
-    ``ws_rate`` is the rate used for the cache working-set estimate; it
-    differs from ``rate`` only for the EOS kernel, whose ``rep``-fold
-    repetition re-reads the *same* data (work scales with rep, the working
-    set does not).
 
-    ``idempotent`` declares the body safe to re-execute on the same range
-    (it writes its outputs fresh rather than accumulating in place), which
-    makes its tasks eligible for bounded replay.  Kernels that read-modify-
-    write state (velocity/position integration, strain-rate subtraction,
-    the EOS energy update) must stay ``False``; a combined task is
-    replayable only if *every* member kernel is.
-    """
+@lru_cache(maxsize=None)
+def _group_names(
+    group: tuple[Kernel, ...], rep: int
+) -> tuple[tuple[str, ...], str]:
+    """Spec names and tag label of one task's kernels (built once)."""
+    return tuple(k.name for k in group), "+".join(k.label(rep) for k in group)
 
-    name: str
-    rate: float
-    body: Callable[[int, int], object] | None
-    n_temps: int = 0  # temporary arrays allocated per invocation
-    ws_rate: float | None = None
-    idempotent: bool = False
 
-    @property
-    def working_set_rate(self) -> float:
-        return self.ws_rate if self.ws_rate is not None else self.rate
+# The kernel groups each phase chains per partition, in chain order.
+_STRESS = _kernels("init_stress", "integrate_stress")
+_HOURGLASS = _kernels("hg_control", "fb_hourglass")
+_NODESUM = _kernels("zero_forces", "sum_forces", "acceleration")
+_VELPOS = _kernels("velocity", "position")
+_KINEMATICS = _kernels("kinematics", "strain_rates", "monoq_gradients")
+_PROLOGUE = _kernels("material_prologue", "qstop_check", "update_volumes")
+_REGION = _kernels("monoq_region", "eos")
+_CONSTRAINTS = _kernels("courant", "hydro")
+_BC = KERNELS["accel_bc"]
 
 
 class HpxLuleshProgram:
@@ -184,62 +184,6 @@ class HpxLuleshProgram:
         self._last_cycle: int | None = None
         if domain is not None:
             domain.configure_workspace(variant.task_local_temporaries)
-        # Captured-once kernel bindings: the per-kernel closures (and the
-        # BC body) depend only on ctor state, so they are built here rather
-        # than once per cycle.  Per-cycle state is read dynamically — the
-        # velocity/position/kinematics bodies read ``domain.deltatime`` at
-        # execution time, which is what makes a captured graph replayable
-        # across cycles.
-        c = costs
-        self._k_stress = [
-            self._bind("init_stress", c.init_stress, stress_k.init_stress_terms,
-                       idempotent=True),
-            self._bind(
-                "integrate_stress", c.integrate_stress, stress_k.integrate_stress,
-                n_temps=4, idempotent=True,
-            ),
-        ]
-        self._k_hg = [
-            self._bind(
-                "hg_control", c.hourglass_control, hg_k.calc_hourglass_control,
-                n_temps=7, idempotent=True,
-            ),
-            self._bind("fb_hourglass", c.fb_hourglass, hg_k.calc_fb_hourglass_force,
-                       n_temps=2, idempotent=True),
-        ]
-        self._k_nodesum = [
-            self._bind("zero_forces", c.zero_forces, _zero_forces_body,
-                       idempotent=True),
-            self._bind("sum_forces", c.sum_forces, nodal_k.sum_elem_forces_to_nodes,
-                       idempotent=True),
-            self._bind("acceleration", c.acceleration, nodal_k.calc_acceleration,
-                       idempotent=True),
-        ]
-        # velocity/position integrate in place (+=) — never replayable.
-        self._k_velpos = [
-            self._bind("velocity", c.velocity, _velocity_body),
-            self._bind("position", c.position, _position_body),
-        ]
-        # strain_rates subtracts vdov/3 from the strain diagonals in place,
-        # so the combined kinematics chain is not replayable either.
-        self._k_kin = [
-            self._bind("kinematics", c.kinematics, _kinematics_body,
-                       n_temps=2, idempotent=True),
-            self._bind("strain_rates", c.strain_rates,
-                       kin_k.calc_lagrange_elements_part2),
-            self._bind("monoq_gradients", c.monoq_gradients,
-                       q_k.calc_monotonic_q_gradients, idempotent=True),
-        ]
-        self._k_prologue = [
-            self._bind("material_prologue", c.material_prologue,
-                       eos_k.apply_material_properties_prologue, n_temps=1,
-                       idempotent=True),
-            self._bind("qstop_check", c.qstop_check, q_k.check_q_stop,
-                       idempotent=True),
-            self._bind("update_volumes", c.update_volumes, eos_k.update_volumes,
-                       idempotent=True),
-        ]
-        self._bc = _bc_body(domain)
 
     def _ranges(self, n_items: int, partition_size: int):
         """Partition layout for one phase (honours the balanced-split knob)."""
@@ -247,26 +191,15 @@ class HpxLuleshProgram:
             n_items, partition_size, balanced=self.balanced_partitions
         )
 
-    # --- kernel bindings ------------------------------------------------------
-
-    def _bind(
-        self, name: str, rate: float, fn, *args,
-        n_temps: int = 0, idempotent: bool = False,
-    ) -> _Kernel:
-        d = self.domain
-        if d is None or fn is None:
-            return _Kernel(name, rate, None, n_temps, idempotent=idempotent)
-        return _Kernel(
-            name, rate, lambda lo, hi: fn(d, *args, lo, hi), n_temps,
-            idempotent=idempotent,
-        )
+    # --- task costing ---------------------------------------------------------
 
     def _task_cost(
         self,
-        kernels: Sequence[_Kernel],
+        kernels: Sequence[Kernel],
         lo: int,
         hi: int,
         reuse_items: int | None = None,
+        rep: int = 0,
     ) -> int:
         """Simulated cost of running *kernels* over ``[lo, hi)`` in one task.
 
@@ -280,10 +213,12 @@ class HpxLuleshProgram:
             reuse_items = n
         work = 0
         for k in kernels:
+            ws_rate = k.rate_ns(self.costs)
+            rate = ws_rate * rep if k.per_rep else ws_rate
             penalty = self.rt.cost_model.stream_penalty(
-                reuse_items, k.working_set_rate, self.rt.n_workers
+                reuse_items, ws_rate, self.rt.n_workers
             )
-            work += int(round(k.rate * n * penalty))
+            work += int(round(rate * n * penalty))
         work = self.allocator.scaled_work_ns(work)
         alloc = 0
         for k in kernels:
@@ -291,57 +226,50 @@ class HpxLuleshProgram:
                 alloc += self.allocator.charge_temporary(k.n_temps * n * 8)
         return work + alloc
 
-    def _task_body(
-        self, kernels: Sequence[_Kernel], lo: int, hi: int
-    ) -> Callable[[], None] | None:
-        bodies = [k.body for k in kernels if k.body is not None]
-        if not bodies:
-            return None
-
-        def run() -> None:
-            for b in bodies:
-                b(lo, hi)
-
-        return run
-
     # --- chain construction ---------------------------------------------------
 
     def _chain(
         self,
-        kernels: Sequence[_Kernel],
+        kernels: Sequence[Kernel],
         lo: int,
         hi: int,
         depends: Sequence[Future],
         tag: str,
         reuse_items: int | None = None,
         priority: int = 0,
+        region: int = -1,
+        rep: int = 0,
     ) -> Future:
         """Build one partition's task chain over *kernels*.
 
         With ``combine_loops`` all kernels become one task; otherwise one
-        task per kernel, linked by continuations.
+        task per kernel, linked by continuations.  Every task carries the
+        :class:`TaskSpec` its body executes; *region* >= 0 makes the range
+        index that region's element list.
         """
         if self.variant.combine_loops:
-            groups: list[Sequence[_Kernel]] = [kernels]
+            groups: Sequence[tuple[Kernel, ...]] = (tuple(kernels),)
         else:
-            groups = [[k] for k in kernels]
+            groups = [(k,) for k in kernels]
+        kind = "kernels" if region < 0 else "region"
         fut: Future | None = None
-        for gi, group in enumerate(groups):
-            cost = self._task_cost(group, lo, hi, reuse_items=reuse_items)
-            body = self._task_body(group, lo, hi)
-            names = "+".join(k.name for k in group)
-            gtag = f"{tag}:{names}[{lo}:{hi}]"
-            # A combined task may be replayed only if every member loop is.
-            idem = all(k.idempotent for k in group)
+        for group in groups:
+            names, label = _group_names(group, rep)
+            spec = TaskSpec(kind, names, lo, hi, region, rep)
+            cost = self._task_cost(group, lo, hi, reuse_items=reuse_items,
+                                   rep=rep)
+            body = _spec_body(self.domain, spec)
+            gtag = f"{tag}:{label}[{lo}:{hi}]"
+            idem = spec_is_idempotent(spec)
             if fut is None:
                 fut = self.rt.async_(
-                    body or _noop, cost_ns=cost, tag=gtag, depends=depends,
-                    priority=priority, idempotent=idem,
+                    body, cost_ns=cost, tag=gtag, depends=depends,
+                    priority=priority, idempotent=idem, spec=spec,
                 )
             else:
                 fut = self.rt.continuation(
-                    fut, _run_after(body), cost_ns=cost, tag=gtag,
-                    priority=priority, idempotent=idem,
+                    fut, body, cost_ns=cost, tag=gtag,
+                    priority=priority, idempotent=idem, spec=spec,
                 )
         assert fut is not None
         return fut
@@ -370,14 +298,8 @@ class HpxLuleshProgram:
         chain = self.variant.chain_kernels
         parallel = self.variant.parallel_chains
 
-        # Kernel bindings (shared work definition with the OpenMP structure)
-        # are captured once at construction — see ``__init__``.
-        k_stress = self._k_stress
-        k_hg = self._k_hg
-        k_nodesum = self._k_nodesum
-        k_velpos = self._k_velpos
-        k_kin = self._k_kin
-        k_prologue = self._k_prologue
+        bc_cost = int(round(3 * _BC.rate_ns(c) * shape.num_symm_nodes))
+        bc_spec = TaskSpec("bc", (_BC.name,))
 
         def flush_if_unchained(futures: Sequence[Future], tag: str) -> list[Future]:
             """Fig. 5 semantics: blocking wait_all after every kernel group."""
@@ -389,16 +311,16 @@ class HpxLuleshProgram:
         force_finals: list[Future] = []
         if chain:
             for lo, hi in self._ranges(ne, pn):
-                f_stress = self._chain(k_stress, lo, hi, (), "stress")
+                f_stress = self._chain(_STRESS, lo, hi, (), "stress")
                 if parallel:
-                    f_hg = self._chain(k_hg, lo, hi, (), "hg")
+                    f_hg = self._chain(_HOURGLASS, lo, hi, (), "hg")
                 else:
-                    f_hg = self._chain(k_hg, lo, hi, (f_stress,), "hg")
+                    f_hg = self._chain(_HOURGLASS, lo, hi, (f_stress,), "hg")
                 force_finals += [f_stress, f_hg]
             b1 = self._barrier(force_finals, "B1:forces")
             node_dep: Sequence[Future] = (b1,)
         else:
-            for kern in k_stress + k_hg:
+            for kern in (*_STRESS, *_HOURGLASS):
                 futs = [
                     self._chain([kern], lo, hi, (), "k", reuse_items=ne)
                     for lo, hi in self._ranges(ne, pn)
@@ -409,36 +331,38 @@ class HpxLuleshProgram:
         # ---- Phase 2: node sum/accel -> B2 -> BC -> vel/pos -> B4 -----------------
         if chain:
             node_finals = [
-                self._chain(k_nodesum, lo, hi, node_dep, "node")
+                self._chain(_NODESUM, lo, hi, node_dep, "node")
                 for lo, hi in self._ranges(nn, pn)
             ]
             b2 = self._barrier(node_finals, "B2:accel")
             bc = self.rt.continuation(
                 b2,
-                self._bc,
-                cost_ns=int(round(3 * c.accel_bc * shape.num_symm_nodes)),
+                _spec_body(d, bc_spec),
+                cost_ns=bc_cost,
                 tag="accel_bc",
+                spec=bc_spec,
             )
             velpos_finals = [
-                self._chain(k_velpos, lo, hi, (bc,), "velpos")
+                self._chain(_VELPOS, lo, hi, (bc,), "velpos")
                 for lo, hi in self._ranges(nn, pn)
             ]
             b4 = self._barrier(velpos_finals, "B4:positions")
             elem_dep: Sequence[Future] = (b4,)
         else:
-            for kern in k_nodesum:
+            for kern in _NODESUM:
                 futs = [
                     self._chain([kern], lo, hi, (), "k", reuse_items=nn)
                     for lo, hi in self._ranges(nn, pn)
                 ]
                 flush_if_unchained(futs, kern.name)
             bc = self.rt.async_(
-                self._bc,
-                cost_ns=int(round(3 * c.accel_bc * shape.num_symm_nodes)),
+                _spec_body(d, bc_spec),
+                cost_ns=bc_cost,
                 tag="accel_bc",
+                spec=bc_spec,
             )
             flush_if_unchained([bc], "bc")
-            for kern in k_velpos:
+            for kern in _VELPOS:
                 futs = [
                     self._chain([kern], lo, hi, (), "k", reuse_items=nn)
                     for lo, hi in self._ranges(nn, pn)
@@ -449,13 +373,13 @@ class HpxLuleshProgram:
         # ---- Phase 3: kinematics/gradients chains -> B5 ------------------------------
         if chain:
             kin_finals = [
-                self._chain(k_kin, lo, hi, elem_dep, "kin")
+                self._chain(_KINEMATICS, lo, hi, elem_dep, "kin")
                 for lo, hi in self._ranges(ne, pe)
             ]
             b5 = self._barrier(kin_finals, "B5:gradients")
             region_dep: Sequence[Future] = (b5,)
         else:
-            for kern in k_kin:
+            for kern in _KINEMATICS:
                 futs = [
                     self._chain([kern], lo, hi, (), "k", reuse_items=ne)
                     for lo, hi in self._ranges(ne, pe)
@@ -467,7 +391,7 @@ class HpxLuleshProgram:
         constraint_futs: list[Future] = []
         if chain:
             prologue_finals = [
-                self._chain(k_prologue, lo, hi, region_dep, "prologue")
+                self._chain(_PROLOGUE, lo, hi, region_dep, "prologue")
                 for lo, hi in self._ranges(ne, pe)
             ]
             # Region EOS gathers cross partition boundaries (region element
@@ -497,7 +421,7 @@ class HpxLuleshProgram:
             b6_inputs = constraint_futs
         else:
             futs = [
-                self._chain(k_prologue, lo, hi, (), "prologue", reuse_items=ne)
+                self._chain(_PROLOGUE, lo, hi, (), "prologue", reuse_items=ne)
                 for lo, hi in self._ranges(ne, pe)
             ]
             flush_if_unchained(futs, "prologue")
@@ -519,6 +443,7 @@ class HpxLuleshProgram:
             b6_inputs,
             cost_ns=2_000,
             tag="reduce_dt",
+            spec=TaskSpec("reduce"),
         )
         return final
 
@@ -526,53 +451,24 @@ class HpxLuleshProgram:
         self, r: int, rep: int, lo: int, hi: int, depends: Sequence[Future]
     ) -> Future:
         """monoq -> EOS(xrep) -> constraints for one region partition."""
-        c = self.costs
-        d = self.domain
         priority = (
             1
             if self.variant.prioritize_expensive_regions and rep >= 10
             else 0
         )
-        kernels = [
-            self._bind("monoq_region", c.monoq_region, _monoq_region_body, r,
-                       n_temps=3, idempotent=True),
-            # EOS reads AND rewrites e/p/q — re-execution is not safe.
-            _Kernel(
-                f"eos[x{rep}]",
-                c.eos_eval * rep,
-                None
-                if d is None
-                else (lambda lo_, hi_: eos_k.eval_eos_region(
-                    d, d.regions.reg_elem_lists[r], rep, lo_, hi_)),
-                n_temps=12,
-                ws_rate=c.eos_eval,  # repetitions re-read the same data
-            ),
-        ]
-        fut = self._chain(kernels, lo, hi, depends, f"region{r}",
-                          priority=priority)
+        fut = self._chain(_REGION, lo, hi, depends, f"region{r}",
+                          priority=priority, region=r, rep=rep)
         # Constraint task returns its partial minima (consumed by reduce).
-        cost = self._task_cost(
-            [
-                _Kernel("courant", c.courant, None),
-                _Kernel("hydro", c.hydro, None),
-            ],
-            lo,
-            hi,
-        )
-        if d is None:
+        spec = TaskSpec("constraints", tuple(k.name for k in _CONSTRAINTS),
+                        lo, hi, r)
+        if self.domain is None:
             body = lambda _f: (1.0e20, 1.0e20)
         else:
-
-            def body(_f, r=r, lo=lo, hi=hi):
-                lst = d.regions.reg_elem_lists[r]
-                return (
-                    calc_courant_constraint(d, lst, lo, hi),
-                    calc_hydro_constraint(d, lst, lo, hi),
-                )
-
+            body = _spec_body(self.domain, spec)
         return self.rt.continuation(
-            fut, body, cost_ns=cost, tag=f"constraints[{r}][{lo}:{hi}]",
-            priority=priority, idempotent=True,
+            fut, body, cost_ns=self._task_cost(_CONSTRAINTS, lo, hi),
+            tag=f"constraints[{r}][{lo}:{hi}]", priority=priority,
+            idempotent=spec_is_idempotent(spec), spec=spec,
         )
 
     # --- graph capture & replay ---------------------------------------------------
@@ -730,50 +626,21 @@ class HpxLuleshProgram:
             self.step()
 
 
-def _noop() -> None:
+def _noop(*_args) -> None:
     return None
 
 
-def _run_after(body: Callable[[], None] | None) -> Callable[[Future], None]:
-    def fn(_parent: Future) -> None:
-        if body is not None:
-            body()
+def _spec_body(domain, spec: TaskSpec) -> Callable[..., object]:
+    """Task body running *spec* (called bare, or with a parent future).
 
-    return fn
+    Bodies read per-cycle state (``domain.deltatime``) at execution time,
+    which is what makes a captured graph replayable across cycles.
+    """
+    if domain is None:
+        return _noop
 
-
-def _zero_forces_body(domain, lo: int, hi: int) -> None:
-    domain.fx[lo:hi] = 0.0
-    domain.fy[lo:hi] = 0.0
-    domain.fz[lo:hi] = 0.0
-
-
-# The timestep is read at execution time, not bound at graph-build time:
-# ``time_increment`` fixes ``deltatime`` before the graph runs and nothing
-# mutates it mid-cycle, so these bodies are correct every cycle — including
-# replayed ones, where no rebuild re-binds the value.
-
-
-def _velocity_body(domain, lo: int, hi: int) -> None:
-    nodal_k.calc_velocity_dt(domain, domain.deltatime, lo, hi)
-
-
-def _position_body(domain, lo: int, hi: int) -> None:
-    nodal_k.calc_position_dt(domain, domain.deltatime, lo, hi)
-
-
-def _kinematics_body(domain, lo: int, hi: int) -> None:
-    kin_k.calc_kinematics_dt(domain, domain.deltatime, lo, hi)
-
-
-def _monoq_region_body(domain, r: int, lo: int, hi: int) -> None:
-    q_k.calc_monotonic_q_region(domain, domain.regions.reg_elem_lists[r], lo, hi)
-
-
-def _bc_body(domain) -> Callable[..., None]:
-    def fn(*_args) -> None:
-        if domain is not None:
-            nodal_k.apply_acceleration_bc(domain)
+    def fn(*_args):
+        return execute_spec(domain, spec)
 
     return fn
 

@@ -26,18 +26,10 @@ from contextlib import nullcontext
 from repro.amt.algorithms import for_loop
 from repro.amt.graph import GraphStats, GraphTemplate
 from repro.amt.runtime import AmtRuntime
-from repro.core.kernel_graph import EOS_LOOPS_PER_REP, ProblemShape
+from repro.core.kernel_graph import EOS_LOOPS_PER_REP, KERNELS, ProblemShape
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.kernels import eos as eos_k
-from repro.lulesh.kernels import hourglass as hg_k
-from repro.lulesh.kernels import kinematics as kin_k
-from repro.lulesh.kernels import nodal as nodal_k
-from repro.lulesh.kernels import qcalc as q_k
-from repro.lulesh.kernels import stress as stress_k
 from repro.lulesh.kernels.constraints import (
-    calc_courant_constraint,
-    calc_hydro_constraint,
     reduce_time_constraints,
     time_increment,
 )
@@ -92,11 +84,6 @@ def naive_iteration(
     if state is None:
         state = _NaiveCycleState(shape.num_regions)
 
-    def body(fn, *args):
-        if d is None:
-            return lambda lo, hi: None
-        return lambda lo, hi: fn(d, *args, lo, hi)
-
     def loop(n, fn_body, rate, tag, idempotent=False):
         # Loop-at-a-time structure: the reuse working set is the full loop
         # footprint (same streaming behaviour as the OpenMP reference).
@@ -104,112 +91,86 @@ def naive_iteration(
         for_loop(rt, 0, n, fn_body, work_ns_per_item=rate, tag=tag,
                  idempotent=idempotent)
 
-    # LagrangeNodal (fresh-write loops are replay-safe; the velocity and
-    # position integrations accumulate in place and are not)
-    loop(nn, body(_zero_forces), c.zero_forces, "zero_forces", idempotent=True)
-    loop(ne, body(stress_k.init_stress_terms), c.init_stress, "init_stress",
-         idempotent=True)
-    loop(ne, body(stress_k.integrate_stress), c.integrate_stress,
-         "integrate_stress", idempotent=True)
-    loop(nn, lambda lo, hi: None, c.sum_forces * 0.5, "collect_stress",
-         idempotent=True)
-    loop(ne, body(hg_k.calc_hourglass_control), c.hourglass_control, "hg_control",
-         idempotent=True)
-    loop(ne, body(hg_k.calc_fb_hourglass_force), c.fb_hourglass, "fb_hourglass",
-         idempotent=True)
-    loop(nn, body(nodal_k.sum_elem_forces_to_nodes), c.sum_forces * 0.5,
-         "collect_hg", idempotent=True)
-    loop(nn, body(nodal_k.calc_acceleration), c.acceleration, "acceleration",
-         idempotent=True)
+    def kernel(n, name, tag=None, region=-1):
+        """One table kernel as one loop (replayable iff the kernel is)."""
+        k = KERNELS[name]
+        loop(n, k.bind(d, region) or _skip, k.rate_ns(c), tag or name,
+             k.idempotent)
+
+    # LagrangeNodal.  The force sum is modelled as two half-cost collection
+    # loops, one per force buffer; the real body runs in the second.
+    sum_forces = KERNELS["sum_forces"]
+    kernel(nn, "zero_forces")
+    kernel(ne, "init_stress")
+    kernel(ne, "integrate_stress")
+    loop(nn, _skip, sum_forces.rate_ns(c) * 0.5, "collect_stress",
+         sum_forces.idempotent)
+    kernel(ne, "hg_control")
+    kernel(ne, "fb_hourglass")
+    loop(nn, sum_forces.bind(d) or _skip, sum_forces.rate_ns(c) * 0.5,
+         "collect_hg", sum_forces.idempotent)
+    kernel(nn, "acceleration")
+
+    bc = KERNELS["accel_bc"]
 
     def bc_body(lo: int, hi: int) -> None:
         if d is not None and not state.bc_done:
-            nodal_k.apply_acceleration_bc(d)
+            bc.run(d, lo, hi)
             state.bc_done = True
 
     for _ in range(3):
-        loop(shape.num_symm_nodes, bc_body, c.accel_bc, "accel_bc",
-             idempotent=True)
-    # dt is read from the domain at execution time (replay-safe binding).
-    loop(nn, body(_velocity), c.velocity, "velocity")
-    loop(nn, body(_position), c.position, "position")
+        loop(shape.num_symm_nodes, bc_body, bc.rate_ns(c), bc.name,
+             bc.idempotent)
+    kernel(nn, "velocity")
+    kernel(nn, "position")
 
-    # LagrangeElements (strain_rates subtracts in place — not replay-safe)
-    loop(ne, body(_kinematics), c.kinematics, "kinematics", idempotent=True)
-    loop(ne, body(kin_k.calc_lagrange_elements_part2), c.strain_rates, "strain_rates")
-    loop(ne, body(q_k.calc_monotonic_q_gradients), c.monoq_gradients, "q_gradients",
-         idempotent=True)
+    # LagrangeElements
+    kernel(ne, "kinematics")
+    kernel(ne, "strain_rates")
+    kernel(ne, "monoq_gradients", "q_gradients")
     for r in range(shape.num_regions):
-        loop(
-            shape.region_sizes[r],
-            body(_monoq_region, r),
-            c.monoq_region,
-            f"monoq[{r}]",
-            idempotent=True,
-        )
-    loop(ne, body(q_k.check_q_stop), c.qstop_check, "qstop_check", idempotent=True)
-    loop(ne, body(eos_k.apply_material_properties_prologue), c.material_prologue,
-         "prologue", idempotent=True)
+        kernel(shape.region_sizes[r], "monoq_region", f"monoq[{r}]", region=r)
+    kernel(ne, "qstop_check")
+    kernel(ne, "material_prologue", "prologue")
+    eos = KERNELS["eos"]
     for r in range(shape.num_regions):
         rep = shape.region_reps[r]
         size = shape.region_sizes[r]
 
-        def eos_body(lo: int, hi: int, r=r, rep=rep) -> None:
+        def eos_body(lo: int, hi: int, r=r, rep=rep, size=size) -> None:
             if d is not None and not state.eos_done[r]:
-                eos_k.eval_eos_region(d, d.regions.reg_elem_lists[r], rep)
+                eos.run(d, 0, size, r, rep)
                 state.eos_done[r] = True
 
-        per_loop_rate = c.eos_eval / EOS_LOOPS_PER_REP
+        per_loop_rate = eos.rate_ns(c) / EOS_LOOPS_PER_REP
         for _ in range(rep * EOS_LOOPS_PER_REP):
-            loop(size, eos_body, per_loop_rate, f"eos[{r}]")
-    loop(ne, body(eos_k.update_volumes), c.update_volumes, "update_volumes",
-         idempotent=True)
+            loop(size, eos_body, per_loop_rate, f"eos[{r}]", eos.idempotent)
+    kernel(ne, "update_volumes")
 
     # Constraints
+    courant, hydro = KERNELS["courant"], KERNELS["hydro"]
     for r in range(shape.num_regions):
         size = shape.region_sizes[r]
 
         def courant_body(lo: int, hi: int, r=r) -> None:
             if d is not None:
-                state.courant = min(
-                    state.courant,
-                    calc_courant_constraint(d, d.regions.reg_elem_lists[r], lo, hi),
-                )
+                state.courant = min(state.courant, courant.run(d, lo, hi, r))
 
         def hydro_body(lo: int, hi: int, r=r) -> None:
             if d is not None:
-                state.hydro = min(
-                    state.hydro,
-                    calc_hydro_constraint(d, d.regions.reg_elem_lists[r], lo, hi),
-                )
+                state.hydro = min(state.hydro, hydro.run(d, lo, hi, r))
 
-        loop(size, courant_body, c.courant, f"courant[{r}]", idempotent=True)
-        loop(size, hydro_body, c.hydro, f"hydro[{r}]", idempotent=True)
+        loop(size, courant_body, courant.rate_ns(c), f"courant[{r}]",
+             courant.idempotent)
+        loop(size, hydro_body, hydro.rate_ns(c), f"hydro[{r}]",
+             hydro.idempotent)
     if standalone and d is not None:
         reduce_time_constraints(d, state.courant, state.hydro)
     return state
 
 
-def _zero_forces(domain, lo: int, hi: int) -> None:
-    domain.fx[lo:hi] = 0.0
-    domain.fy[lo:hi] = 0.0
-    domain.fz[lo:hi] = 0.0
-
-
-def _monoq_region(domain, r: int, lo: int, hi: int) -> None:
-    q_k.calc_monotonic_q_region(domain, domain.regions.reg_elem_lists[r], lo, hi)
-
-
-def _velocity(domain, lo: int, hi: int) -> None:
-    nodal_k.calc_velocity_dt(domain, domain.deltatime, lo, hi)
-
-
-def _position(domain, lo: int, hi: int) -> None:
-    nodal_k.calc_position_dt(domain, domain.deltatime, lo, hi)
-
-
-def _kinematics(domain, lo: int, hi: int) -> None:
-    kin_k.calc_kinematics_dt(domain, domain.deltatime, lo, hi)
+def _skip(lo: int, hi: int) -> None:
+    """Loop body of a cost-only loop (and of every loop in timing mode)."""
 
 
 class NaiveHpxProgram:

@@ -21,18 +21,10 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
-from repro.core.kernel_graph import EOS_LOOPS_PER_REP, ProblemShape
+from repro.core.kernel_graph import EOS_LOOPS_PER_REP, KERNELS, ProblemShape
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.kernels import eos as eos_k
-from repro.lulesh.kernels import hourglass as hg_k
-from repro.lulesh.kernels import kinematics as kin_k
-from repro.lulesh.kernels import nodal as nodal_k
-from repro.lulesh.kernels import qcalc as q_k
-from repro.lulesh.kernels import stress as stress_k
 from repro.lulesh.kernels.constraints import (
-    calc_courant_constraint,
-    calc_hydro_constraint,
     reduce_time_constraints,
     time_increment,
 )
@@ -60,83 +52,80 @@ def omp_iteration(
     c = costs
     ne, nn = shape.num_elem, shape.num_node
     d = domain
-    dt = d.deltatime if d is not None else 0.0
 
-    def body(fn, *args):
-        """Chunk body ``fn(domain, *args, lo, hi)`` or None in timing mode."""
-        if d is None:
-            return None
-        return lambda lo, hi: fn(d, *args, lo, hi)
+    def loop(n, name, region=-1):
+        """One loop of table kernel *name* (no body in timing mode)."""
+        k = KERNELS[name]
+        omp.loop(n, k.bind(d, region), work_ns_per_item=k.rate_ns(c))
 
     # ----- LagrangeNodal --------------------------------------------------
     with omp.parallel_region("CalcForceForNodes"):
-        omp.loop(nn, body(_zero_forces), work_ns_per_item=c.zero_forces)
+        loop(nn, "zero_forces")
     with omp.parallel_region("InitStressTerms"):
-        omp.loop(ne, body(stress_k.init_stress_terms), work_ns_per_item=c.init_stress)
+        loop(ne, "init_stress")
+    sum_rate = KERNELS["sum_forces"].rate_ns(c) * 0.5
     with omp.parallel_region("IntegrateStress"):
-        omp.loop(ne, body(stress_k.integrate_stress), work_ns_per_item=c.integrate_stress)
+        loop(ne, "integrate_stress")
         # collection of stress contributions into nodes
-        omp.loop(nn, None, work_ns_per_item=c.sum_forces * 0.5)
+        omp.loop(nn, None, work_ns_per_item=sum_rate)
     with omp.parallel_region("CalcHourglassControl"):
-        omp.loop(ne, body(hg_k.calc_hourglass_control), work_ns_per_item=c.hourglass_control)
+        loop(ne, "hg_control")
     with omp.parallel_region("CalcFBHourglassForce"):
-        omp.loop(ne, body(hg_k.calc_fb_hourglass_force), work_ns_per_item=c.fb_hourglass)
+        loop(ne, "fb_hourglass")
         # collection of both force buffers into nodes (real body here so the
         # stress collection above stays a pure cost)
-        omp.loop(nn, body(nodal_k.sum_elem_forces_to_nodes), work_ns_per_item=c.sum_forces * 0.5)
+        omp.loop(nn, KERNELS["sum_forces"].bind(d), work_ns_per_item=sum_rate)
     with omp.parallel_region("CalcAccelerationForNodes"):
-        omp.loop(nn, body(nodal_k.calc_acceleration), work_ns_per_item=c.acceleration)
+        loop(nn, "acceleration")
     with omp.parallel_region("ApplyAccelerationBC"):
         # three symmetry-plane loops; the body applies all three once
+        bc = KERNELS["accel_bc"]
         bc_done = [False]
 
         def bc_body(lo: int, hi: int) -> None:
             if not bc_done[0]:
-                nodal_k.apply_acceleration_bc(d)
+                bc.run(d, lo, hi)
                 bc_done[0] = True
 
         omp.loop(shape.num_symm_nodes, bc_body if d is not None else None,
-                 work_ns_per_item=c.accel_bc)
-        omp.loop(shape.num_symm_nodes, None, work_ns_per_item=c.accel_bc)
-        omp.loop(shape.num_symm_nodes, None, work_ns_per_item=c.accel_bc)
+                 work_ns_per_item=bc.rate_ns(c))
+        omp.loop(shape.num_symm_nodes, None, work_ns_per_item=bc.rate_ns(c))
+        omp.loop(shape.num_symm_nodes, None, work_ns_per_item=bc.rate_ns(c))
     with omp.parallel_region("CalcVelocityForNodes"):
-        omp.loop(nn, body(nodal_k.calc_velocity_dt, dt), work_ns_per_item=c.velocity)
+        loop(nn, "velocity")
     with omp.parallel_region("CalcPositionForNodes"):
-        omp.loop(nn, body(nodal_k.calc_position_dt, dt), work_ns_per_item=c.position)
+        loop(nn, "position")
 
     # ----- LagrangeElements ------------------------------------------------
     with omp.parallel_region("CalcKinematics"):
-        omp.loop(ne, body(kin_k.calc_kinematics_dt, dt), work_ns_per_item=c.kinematics)
+        loop(ne, "kinematics")
     with omp.parallel_region("CalcLagrangeElements"):
-        omp.loop(ne, body(kin_k.calc_lagrange_elements_part2), work_ns_per_item=c.strain_rates)
+        loop(ne, "strain_rates")
     with omp.parallel_region("CalcMonotonicQGradients"):
-        omp.loop(ne, body(q_k.calc_monotonic_q_gradients), work_ns_per_item=c.monoq_gradients)
+        loop(ne, "monoq_gradients")
     for r in range(shape.num_regions):
         with omp.parallel_region(f"MonotonicQRegion[{r}]"):
-            omp.loop(
-                shape.region_sizes[r],
-                body(_monoq_region, r),
-                work_ns_per_item=c.monoq_region,
-            )
+            loop(shape.region_sizes[r], "monoq_region", region=r)
     with omp.parallel_region("QStopCheck"):
-        omp.loop(ne, body(q_k.check_q_stop), work_ns_per_item=c.qstop_check)
+        loop(ne, "qstop_check")
     with omp.parallel_region("ApplyMaterialProperties"):
-        omp.loop(ne, body(eos_k.apply_material_properties_prologue),
-                 work_ns_per_item=c.material_prologue)
+        loop(ne, "material_prologue")
+    eos = KERNELS["eos"]
     for r in range(shape.num_regions):
         rep = shape.region_reps[r]
         size = shape.region_sizes[r]
         with omp.parallel_region(f"EvalEOS[{r}]"):
             eos_done = [False]
 
-            def eos_body(lo: int, hi: int, r=r, rep=rep, flag=eos_done) -> None:
+            def eos_body(lo: int, hi: int, r=r, rep=rep, size=size,
+                         flag=eos_done) -> None:
                 if not flag[0]:
-                    eos_k.eval_eos_region(d, d.regions.reg_elem_lists[r], rep)
+                    eos.run(d, 0, size, r, rep)
                     flag[0] = True
 
             # rep * EOS_LOOPS_PER_REP tiny loops, each with its own barrier —
             # the structure that shrinks per-loop work as regions grow.
-            per_loop_rate = c.eos_eval / EOS_LOOPS_PER_REP
+            per_loop_rate = eos.rate_ns(c) / EOS_LOOPS_PER_REP
             first = True
             for _ in range(rep):
                 for _ in range(EOS_LOOPS_PER_REP):
@@ -147,44 +136,24 @@ def omp_iteration(
                     )
                     first = False
     with omp.parallel_region("UpdateVolumes"):
-        omp.loop(ne, body(eos_k.update_volumes), work_ns_per_item=c.update_volumes)
+        loop(ne, "update_volumes")
 
     # ----- CalcTimeConstraints ---------------------------------------------
     acc = {"courant": 1.0e20, "hydro": 1.0e20}
     for r in range(shape.num_regions):
         size = shape.region_sizes[r]
-
-        def courant_body(lo: int, hi: int, r=r) -> None:
-            acc["courant"] = min(
-                acc["courant"],
-                calc_courant_constraint(d, d.regions.reg_elem_lists[r], lo, hi),
-            )
-
-        def hydro_body(lo: int, hi: int, r=r) -> None:
-            acc["hydro"] = min(
-                acc["hydro"],
-                calc_hydro_constraint(d, d.regions.reg_elem_lists[r], lo, hi),
-            )
-
         with omp.parallel_region(f"TimeConstraints[{r}]"):
-            omp.loop(size, courant_body if d is not None else None,
-                     work_ns_per_item=c.courant)
-            omp.loop(size, hydro_body if d is not None else None,
-                     work_ns_per_item=c.hydro)
+            for name in ("courant", "hydro"):
+                k = KERNELS[name]
+
+                def body(lo: int, hi: int, r=r, k=k) -> None:
+                    acc[k.name] = min(acc[k.name], k.run(d, lo, hi, r))
+
+                omp.loop(size, body if d is not None else None,
+                         work_ns_per_item=k.rate_ns(c))
     if d is not None:
         reduce_time_constraints(d, acc["courant"], acc["hydro"])
     omp.single(_SERIAL_NS_PER_ITER)
-
-
-def _zero_forces(domain, lo: int, hi: int) -> None:
-    """The reference's force-zeroing loop in ``CalcForceForNodes``."""
-    domain.fx[lo:hi] = 0.0
-    domain.fy[lo:hi] = 0.0
-    domain.fz[lo:hi] = 0.0
-
-
-def _monoq_region(domain, r: int, lo: int, hi: int) -> None:
-    q_k.calc_monotonic_q_region(domain, domain.regions.reg_elem_lists[r], lo, hi)
 
 
 class OmpLuleshProgram:

@@ -44,8 +44,9 @@ __all__ = [
 
 #: Wall-clock-derived counters: nondeterministic across hosts, never gated.
 #: (``/graph/build-time`` and ``/graph/replay-time`` measure real host time;
-#: the whole ``/parallel/*`` family is produced by the process backend whose
-#: wall time, wave counts and fallback splits depend on the host; the
+#: the whole ``/parallel/*`` family — the dataflow gauges under
+#: ``/parallel/dataflow/`` included — is produced by the process backend
+#: whose wall time, wave counts and fallback splits depend on the host; the
 #: ``/serve/`` wall-time and jobs-per-sec counters are campaign host
 #: throughput; everything else in the registry is deterministic simulated
 #: arithmetic.)
@@ -53,10 +54,6 @@ DEFAULT_SKIP = (
     "*build-time*",
     "*replay-time*",
     "/parallel/*",
-    # Covered by the family glob above, listed explicitly because the
-    # dataflow gauges (steals, max-ready, streamed counts) are the most
-    # host-schedule-dependent counters the backend exports.
-    "/parallel/dataflow/*",
     "/serve/wall-time",
     "/serve/jobs-per-sec",
 )

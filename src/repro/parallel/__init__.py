@@ -39,8 +39,6 @@ from repro.parallel.errors import (
     WorkerHangError,
 )
 from repro.parallel.plan import (
-    KERNEL_BODIES,
-    KERNEL_IDEMPOTENT,
     ParallelSchedule,
     TaskSpec,
     Wave,
@@ -48,7 +46,6 @@ from repro.parallel.plan import (
     critical_ranks,
     execute_spec,
     lower_template,
-    parse_task_tag,
     spec_is_idempotent,
 )
 from repro.parallel.pool import (
@@ -56,7 +53,7 @@ from repro.parallel.pool import (
     pick_start_method,
     process_backend_supported,
 )
-from repro.parallel.shadow import NON_IDEMPOTENT_WRITES, WaveShadow
+from repro.parallel.shadow import WaveShadow
 from repro.parallel.shm import SharedDomainArena, domain_field_layout
 from repro.parallel.supervisor import (
     SupervisionConfig,
@@ -70,9 +67,6 @@ __all__ = [
     "DataflowExecutor",
     "DataflowStats",
     "GarbledReplyError",
-    "KERNEL_BODIES",
-    "KERNEL_IDEMPOTENT",
-    "NON_IDEMPOTENT_WRITES",
     "ParallelBackendError",
     "ParallelHpxBackend",
     "ParallelSchedule",
@@ -95,7 +89,6 @@ __all__ = [
     "domain_field_layout",
     "execute_spec",
     "lower_template",
-    "parse_task_tag",
     "pick_start_method",
     "process_backend_supported",
     "spec_is_idempotent",

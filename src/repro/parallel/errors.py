@@ -29,10 +29,10 @@ class ParallelBackendError(RuntimeError):
 class PlanLoweringError(ParallelBackendError):
     """A captured task graph could not be lowered to a wave schedule.
 
-    Every task tag the HPX program emits is part of a closed grammar (see
-    :mod:`repro.parallel.plan`); an unparseable tag means the program and
-    the lowering pass have drifted apart, which is a programming error —
-    not something to silently fall back from.
+    Every work task the HPX program creates carries the spec its body runs
+    (see :mod:`repro.parallel.plan`); a captured work task without one
+    means the program and the lowering pass have drifted apart, which is a
+    programming error — not something to silently fall back from.
     """
 
 

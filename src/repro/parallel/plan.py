@@ -2,23 +2,25 @@
 
 Workers never receive pickled closures: the captured tasks' bodies close
 over the *main* process's Domain and futures, so they cannot run remotely.
-Instead, every task **tag** the HPX program emits encodes exactly what the
-task does — ``{phase}:{kernel+kernel}[lo:hi]``, ``region{r}:...[lo:hi]``,
-``constraints[r][lo:hi]``, ``accel_bc``, ``reduce_dt``, plus pure
-synchronization nodes (barriers/gates) that carry no work.  This module
-parses that closed grammar into :class:`TaskSpec` values (plain, picklable
-data), assigns every task a topological *level* from the template's
-dependency edges (``SimTask.parents``), and groups the levels into
+Instead, every work task the HPX program creates carries the
+:class:`~repro.core.kernel_graph.TaskSpec` its body executes — plain,
+picklable data naming :data:`~repro.core.kernel_graph.KERNELS` entries
+and a range — and the runtime marks barriers, gates and ready futures
+with :data:`~repro.amt.graph.SYNC`.  This module collects those specs,
+assigns every task a topological *level* from the template's dependency
+edges (``SimTask.parents``), and groups the levels into
 :class:`Wave`\\ s.  A wave's tasks are mutually independent by
 construction, so they may run concurrently on real cores; waves execute in
 order with a full join between them — strictly stronger than the DAG, so
-every dependency edge of the simulated schedule is respected.
+every dependency edge of the simulated schedule is respected.  A captured
+work task without a spec cannot be lowered and raises
+:class:`~repro.parallel.errors.PlanLoweringError`: there is no fallback.
 
 Execution dispatch is **by index into the spec table** (shipped to workers
-once per lowering), and a worker executes a spec through the same kernel
-functions the simulated backend binds (imported from
-:mod:`repro.core.hpx_lulesh`), over the same ``[lo, hi)`` ranges, against
-shared-memory field views — which is what makes the process backend
+once per lowering), and a worker runs a spec through
+:func:`~repro.core.kernel_graph.execute_spec` — the same function the
+simulated task bodies call — over the same ``[lo, hi)`` ranges, against
+shared-memory field views, which is what makes the process backend
 bit-identical to the single-process path.
 
 Three task kinds never go to workers:
@@ -28,127 +30,28 @@ Three task kinds never go to workers:
 * ``reduce`` (``reduce_dt``) — the constraint min-reduction; workers return
   per-partition ``(courant, hydro)`` partials and the main process folds
   them in spec order (the captured graph's fold order);
-* ``sync`` — barriers/gates/when-alls: pure graph structure, dropped (the
-  wave join subsumes them).
+* sync tasks — barriers/gates/when-alls: pure graph structure, dropped
+  (the wave join subsumes them).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from repro.core.hpx_lulesh import (
-    _kinematics_body,
-    _position_body,
-    _velocity_body,
-    _zero_forces_body,
-)
-from repro.lulesh.kernels import eos as eos_k
-from repro.lulesh.kernels import hourglass as hg_k
-from repro.lulesh.kernels import kinematics as kin_k
-from repro.lulesh.kernels import nodal as nodal_k
-from repro.lulesh.kernels import qcalc as q_k
-from repro.lulesh.kernels import stress as stress_k
-from repro.lulesh.kernels.constraints import (
-    calc_courant_constraint,
-    calc_hydro_constraint,
-)
+from repro.amt.graph import SYNC
+from repro.core.kernel_graph import TaskSpec, execute_spec, spec_is_idempotent
 from repro.parallel.errors import PlanLoweringError
 
 __all__ = [
-    "KERNEL_BODIES",
-    "KERNEL_IDEMPOTENT",
     "TaskSpec",
     "Wave",
     "ParallelSchedule",
-    "parse_task_tag",
     "lower_template",
     "assign_waves",
     "critical_ranks",
     "execute_spec",
     "spec_is_idempotent",
 ]
-
-#: Worker-side kernel table: the same functions the simulated backend binds
-#: in ``HpxLuleshProgram.__init__``, keyed by the kernel names its tags use.
-KERNEL_BODIES = {
-    "init_stress": stress_k.init_stress_terms,
-    "integrate_stress": stress_k.integrate_stress,
-    "hg_control": hg_k.calc_hourglass_control,
-    "fb_hourglass": hg_k.calc_fb_hourglass_force,
-    "zero_forces": _zero_forces_body,
-    "sum_forces": nodal_k.sum_elem_forces_to_nodes,
-    "acceleration": nodal_k.calc_acceleration,
-    "velocity": _velocity_body,
-    "position": _position_body,
-    "kinematics": _kinematics_body,
-    "strain_rates": kin_k.calc_lagrange_elements_part2,
-    "monoq_gradients": q_k.calc_monotonic_q_gradients,
-    "material_prologue": eos_k.apply_material_properties_prologue,
-    "qstop_check": q_k.check_q_stop,
-    "update_volumes": eos_k.update_volumes,
-}
-
-#: Per-kernel idempotency, mirroring the ``idempotent=`` flags
-#: ``HpxLuleshProgram.__init__`` sets on its ``_Kernel`` bindings (the same
-#: flags the resilience layer's bounded replay consults).  A kernel is
-#: idempotent when re-running it over the same ``[lo, hi)`` range from the
-#: current field state reproduces the same result — i.e. it only writes
-#: values computed from fields it does not modify.  The read-modify-write
-#: kernels (``velocity``/``position`` accumulate ``+= dt * rate``,
-#: ``strain_rates`` subtracts ``vdov/3`` in place, ``eos`` feeds back
-#: ``e``/``p``/``q``) are the ones whose written slices the wave-retry
-#: shadow buffer must snapshot (:mod:`repro.parallel.shadow`).
-#: ``tests/parallel/test_shadow.py`` locks this table against the program
-#: bindings so the two sources of truth cannot drift.
-KERNEL_IDEMPOTENT = {
-    "init_stress": True,
-    "integrate_stress": True,
-    "hg_control": True,
-    "fb_hourglass": True,
-    "zero_forces": True,
-    "sum_forces": True,
-    "acceleration": True,
-    "velocity": False,
-    "position": False,
-    "kinematics": True,
-    "strain_rates": False,
-    "monoq_gradients": True,
-    "material_prologue": True,
-    "qstop_check": True,
-    "update_volumes": True,
-    # region kinds (not in KERNEL_BODIES: dispatched via execute_spec)
-    "monoq_region": True,
-    "eos": False,
-}
-
-_SYNC_RE = re.compile(
-    r"^(B\d+:.*|region_gate\[\d+\]|dataflow-gate|when_all|ready|exceptional)$"
-)
-_WORK_RE = re.compile(
-    r"^(?:stress|hg|node|velpos|kin|prologue|k):(.+)\[(\d+):(\d+)\]$"
-)
-_REGION_RE = re.compile(r"^region(\d+):(.+)\[(\d+):(\d+)\]$")
-_CONSTR_RE = re.compile(r"^constraints\[(\d+)\]\[(\d+):(\d+)\]$")
-_EOS_RE = re.compile(r"^eos\[x(\d+)\]$")
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """One lowered task: plain picklable data, dispatched by index.
-
-    ``kind`` is one of ``kernels`` / ``region`` / ``constraints`` / ``bc``
-    / ``reduce`` / ``sync``.  ``names`` are kernel names executed in order
-    (the captured chain order); ``region``/``rep`` qualify the per-region
-    kinds.
-    """
-
-    kind: str
-    names: tuple[str, ...] = ()
-    lo: int = 0
-    hi: int = 0
-    region: int = -1
-    rep: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,51 +88,6 @@ class ParallelSchedule:
     @property
     def n_waves(self) -> int:
         return len(self.waves)
-
-
-def parse_task_tag(tag: str) -> TaskSpec:
-    """Parse one captured task tag into a :class:`TaskSpec`.
-
-    The tag grammar is closed; anything unrecognized raises
-    :class:`~repro.parallel.errors.PlanLoweringError`.
-    """
-    if _SYNC_RE.match(tag):
-        return TaskSpec("sync")
-    if tag == "accel_bc":
-        return TaskSpec("bc")
-    if tag == "reduce_dt":
-        return TaskSpec("reduce")
-    m = _CONSTR_RE.match(tag)
-    if m:
-        return TaskSpec(
-            "constraints", region=int(m[1]), lo=int(m[2]), hi=int(m[3])
-        )
-    m = _REGION_RE.match(tag)
-    if m:
-        names = tuple(m[2].split("+"))
-        rep = 0
-        for nm in names:
-            em = _EOS_RE.match(nm)
-            if em:
-                rep = int(em[1])
-            elif nm != "monoq_region":
-                raise PlanLoweringError(
-                    f"unknown region kernel {nm!r} in task tag {tag!r}"
-                )
-        return TaskSpec(
-            "region", names=names, lo=int(m[3]), hi=int(m[4]),
-            region=int(m[1]), rep=rep,
-        )
-    m = _WORK_RE.match(tag)
-    if m:
-        names = tuple(m[1].split("+"))
-        for nm in names:
-            if nm not in KERNEL_BODIES:
-                raise PlanLoweringError(
-                    f"unknown kernel {nm!r} in task tag {tag!r}"
-                )
-        return TaskSpec("kernels", names=names, lo=int(m[2]), hi=int(m[3]))
-    raise PlanLoweringError(f"cannot lower task tag {tag!r}")
 
 
 def lower_template(template) -> ParallelSchedule:
@@ -269,10 +127,14 @@ def lower_template(template) -> ParallelSchedule:
                 if pc:
                     deps |= pc
             levels[id(task)] = lvl
-            spec = parse_task_tag(task.tag)
-            if spec.kind == "sync":
+            spec = task.spec
+            if spec is SYNC:
                 contrib[id(task)] = frozenset(deps)
                 continue
+            if spec is None:
+                raise PlanLoweringError(
+                    f"captured task {task.tag!r} carries no spec"
+                )
             idx = len(specs)
             contrib[id(task)] = frozenset((idx,))
             specs.append(spec)
@@ -349,50 +211,3 @@ def critical_ranks(
         tail = max((rank[s] for s in schedule.successors[i]), default=0)
         rank[i] = costs[i] + tail
     return tuple(rank)
-
-
-def spec_is_idempotent(spec: TaskSpec) -> bool:
-    """Whether re-executing *spec* from current field state is safe as-is.
-
-    A combined spec (chained/fused kernels) is idempotent only when every
-    member kernel is — the same rule the resilience layer applies to
-    combined tasks.  Serial kinds: ``constraints`` is a pure read,
-    ``bc`` writes constants, ``reduce``/``sync`` touch no fields.
-    """
-    if spec.kind in ("constraints", "bc", "reduce", "sync"):
-        return True
-    names = []
-    for nm in spec.names:
-        names.append("eos" if _EOS_RE.match(nm) else nm)
-    return all(KERNEL_IDEMPOTENT[nm] for nm in names)
-
-
-def execute_spec(domain, spec: TaskSpec):
-    """Run one spec against *domain*; constraint specs return partials.
-
-    The execution path is shared between workers (parallel specs) and the
-    main process (serial ``bc``); ``reduce`` and ``sync`` specs carry no
-    directly executable body and are handled by the backend.
-    """
-    if spec.kind == "kernels":
-        for nm in spec.names:
-            KERNEL_BODIES[nm](domain, spec.lo, spec.hi)
-        return None
-    if spec.kind == "region":
-        lst = domain.regions.reg_elem_lists[spec.region]
-        for nm in spec.names:
-            if nm == "monoq_region":
-                q_k.calc_monotonic_q_region(domain, lst, spec.lo, spec.hi)
-            else:
-                eos_k.eval_eos_region(domain, lst, spec.rep, spec.lo, spec.hi)
-        return None
-    if spec.kind == "constraints":
-        lst = domain.regions.reg_elem_lists[spec.region]
-        return (
-            calc_courant_constraint(domain, lst, spec.lo, spec.hi),
-            calc_hydro_constraint(domain, lst, spec.lo, spec.hi),
-        )
-    if spec.kind == "bc":
-        nodal_k.apply_acceleration_bc(domain)
-        return None
-    raise PlanLoweringError(f"spec kind {spec.kind!r} has no direct body")

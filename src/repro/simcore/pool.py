@@ -62,6 +62,9 @@ class SimTask:
         priority: reserved — the paper does not use task priorities, and the
             default pool ignores this field, but it is part of the scheduler
             surface (HPX's policy supports it).
+        spec: what the task does, as data its creator attaches for consumers
+            of a captured graph (the process backend lowers it); the pool
+            never reads it.  ``None`` when the creator attached nothing.
     """
 
     __slots__ = (
@@ -71,6 +74,7 @@ class SimTask:
         "tag",
         "spawn_ns",
         "priority",
+        "spec",
         "dependents",
         "parents",
         "pending",
@@ -86,6 +90,7 @@ class SimTask:
         tag: str = "task",
         spawn_ns: int | None = None,
         priority: int = 0,
+        spec: object = None,
     ) -> None:
         if cost_ns < 0:
             raise ValueError(f"cost_ns must be non-negative, got {cost_ns}")
@@ -95,6 +100,7 @@ class SimTask:
         self.tag = tag
         self.spawn_ns = spawn_ns
         self.priority = priority
+        self.spec = spec
         self.dependents: list[SimTask] = []
         self.parents: list[SimTask] = []
         self.pending = 0

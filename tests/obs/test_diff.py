@@ -56,10 +56,16 @@ class TestBands:
             "*build-time*",
             "*replay-time*",
             "/parallel/*",
-            "/parallel/dataflow/*",
             "/serve/wall-time",
             "/serve/jobs-per-sec",
         )
+        # the family glob covers the nested dataflow gauges
+        res = diff_metrics(
+            {"/parallel/dataflow/steals": 1.0},
+            {"/parallel/dataflow/steals": 9.0},
+            skip=DEFAULT_SKIP,
+        )
+        assert res.verdicts[0].status == "skipped"
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):

@@ -1,48 +1,91 @@
-"""Unit tests for tag parsing and template lowering (:mod:`repro.parallel.plan`)."""
+"""Unit tests for template lowering (:mod:`repro.parallel.plan`)."""
 
 import pytest
 
+from repro.amt.graph import SYNC
+from repro.amt.runtime import AmtRuntime
+from repro.core.hpx_lulesh import HpxVariant
+from repro.core.kernel_graph import KERNELS
 from repro.parallel import (
-    KERNEL_BODIES,
     PlanLoweringError,
+    TaskSpec,
     assign_waves,
     lower_template,
-    parse_task_tag,
 )
+from repro.simcore.costmodel import CostModel
+from repro.simcore.machine import MachineConfig
 from tests.parallel.conftest import make_execute_program
 
 
+def capture(build):
+    """Capture whatever *build* creates on a fresh runtime as a template."""
+    rt = AmtRuntime(MachineConfig(), CostModel(), 2)
+    rt.begin_capture()
+    build(rt)
+    rt.flush()
+    return rt.end_capture()
+
+
+def work(rt):
+    """One work task carrying a spec."""
+    return rt.async_(
+        lambda: None, tag="k:init_stress[0:4]",
+        spec=TaskSpec("kernels", ("init_stress",), 0, 4),
+    )
+
+
 class TestParseTaskTag:
-    def test_work_tag(self):
-        spec = parse_task_tag("stress:init_stress+integrate_stress[0:64]")
+    """What each tag form lowers to.
+
+    Lowering reads the spec a task carries, not its tag; these cases pin
+    that every tag the program emits still comes with the spec it names.
+    """
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        """``tag -> spec`` over captured full and Fig. 6 graphs."""
+        out = {}
+        for variant in (HpxVariant.full(), HpxVariant.fig6()):
+            program = make_execute_program(
+                nx=6, num_reg=8, partition=16, variant=variant
+            )
+            program.step()
+            for seg in program._template.segments:
+                out.update((t.tag, t.spec) for t in seg.tasks)
+        return out
+
+    def test_work_tag(self, specs):
+        spec = specs["stress:init_stress+integrate_stress[0:16]"]
         assert spec.kind == "kernels"
         assert spec.names == ("init_stress", "integrate_stress")
-        assert (spec.lo, spec.hi) == (0, 64)
+        assert (spec.lo, spec.hi) == (0, 16)
 
-    def test_single_kernel_work_tag(self):
-        spec = parse_task_tag("node:acceleration[128:256]")
+    def test_single_kernel_work_tag(self, specs):
+        spec = specs["node:acceleration[16:32]"]
         assert spec.kind == "kernels"
         assert spec.names == ("acceleration",)
 
-    def test_region_monoq_tag(self):
-        spec = parse_task_tag("region3:monoq_region[0:40]")
+    def test_region_monoq_tag(self, specs):
+        spec = specs["region6:monoq_region[0:16]"]
         assert spec.kind == "region"
-        assert spec.region == 3
+        assert spec.region == 6
         assert spec.names == ("monoq_region",)
 
-    def test_region_eos_tag_carries_rep(self):
-        spec = parse_task_tag("region7:eos[x11][0:40]")
+    def test_region_eos_tag_carries_rep(self, specs):
+        spec = specs["region7:eos[x20][0:16]"]
         assert spec.kind == "region"
-        assert (spec.region, spec.rep) == (7, 11)
+        assert spec.names == ("eos",)
+        assert (spec.region, spec.rep) == (7, 20)
 
-    def test_constraints_tag(self):
-        spec = parse_task_tag("constraints[2][10:20]")
+    def test_constraints_tag(self, specs):
+        spec = specs["constraints[2][0:9]"]
         assert spec.kind == "constraints"
-        assert (spec.region, spec.lo, spec.hi) == (2, 10, 20)
+        assert spec.names == ("courant", "hydro")
+        assert (spec.region, spec.lo, spec.hi) == (2, 0, 9)
 
-    def test_bc_and_reduce_tags(self):
-        assert parse_task_tag("accel_bc").kind == "bc"
-        assert parse_task_tag("reduce_dt").kind == "reduce"
+    def test_bc_and_reduce_tags(self, specs):
+        assert specs["accel_bc"].kind == "bc"
+        assert specs["reduce_dt"].kind == "reduce"
 
     @pytest.mark.parametrize(
         "tag",
@@ -50,16 +93,43 @@ class TestParseTaskTag:
          "ready", "exceptional"],
     )
     def test_sync_tags(self, tag):
-        assert parse_task_tag(tag).kind == "sync"
+        """Barriers, gates and ready futures are SYNC and emit no spec."""
+
+        def build(rt):
+            f = work(rt)
+            if tag == "ready":
+                rt.make_ready_future()
+            elif tag == "exceptional":
+                rt.make_exceptional_future(RuntimeError("boom"))
+            elif tag == "dataflow-gate":
+                rt.dataflow(lambda _fs: None, [f], spec=TaskSpec("reduce"))
+            else:
+                rt.when_all([f], tag=tag)
+
+        template = capture(build)
+        tasks = {t.tag: t for seg in template.segments for t in seg.tasks}
+        assert tasks[tag].spec is SYNC
+        kinds = [s.kind for s in lower_template(template).specs]
+        assert kinds == (
+            ["kernels", "reduce"] if tag == "dataflow-gate" else ["kernels"]
+        )
 
     @pytest.mark.parametrize(
         "tag",
         ["", "bogus", "stress:unknown_kernel[0:4]", "region:eos[0:4]",
-         "constraints[0:4]", "stress:init_stress[0:"],
+         "constraints[0:4]", "stress:init_stress[0:",
+         "stress:init_stress[4:8]"],
     )
     def test_unknown_tags_raise(self, tag):
-        with pytest.raises(PlanLoweringError):
-            parse_task_tag(tag)
+        """A work task without a spec does not lower, whatever its tag:
+        there is no fallback to reading the tag."""
+
+        def build(rt):
+            work(rt)
+            rt.async_(lambda: None, tag=tag)
+
+        with pytest.raises(PlanLoweringError, match="carries no spec"):
+            lower_template(capture(build))
 
 
 class TestLowerTemplate:
@@ -107,7 +177,7 @@ class TestLowerTemplate:
         edges_checked = 0
         for seg in program._template.segments:
             for task in seg.tasks:
-                if parse_task_tag(task.tag).kind == "sync":
+                if task.spec is SYNC:
                     spec_of_task[id(task)] = None
                     continue
                 spec_of_task[id(task)] = pos
@@ -121,7 +191,7 @@ class TestLowerTemplate:
         assert edges_checked > 0
 
     def test_kernel_bodies_cover_work_vocabulary(self):
-        assert set(KERNEL_BODIES) >= {
+        assert set(KERNELS) >= {
             "init_stress", "integrate_stress", "hg_control", "fb_hourglass",
             "zero_forces", "sum_forces", "acceleration", "velocity",
             "position", "kinematics", "strain_rates", "monoq_gradients",
