@@ -11,6 +11,12 @@ Two modes, selected by ``execute``:
   paper-scale experiments (s up to 150, Figs. 9-11) are simulated without
   allocating gigabytes of field arrays.
 
+Every run is assembled in one place: :func:`build_stack` builds the
+runtime, program and (process backend) worker pool, and
+:func:`install_counters` installs the counters that stack feeds.  The
+three drivers build, execute and report; the campaign executors
+(:mod:`repro.serve.executor`) build through the same two functions.
+
 Iteration counts are explicit (the artifact's ``--i`` flag): simulated
 speed-ups are per-iteration quantities, so a handful of iterations
 determines them exactly (the simulation is deterministic).
@@ -21,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.amt.errors import TaskGroupError
 from repro.amt.runtime import AmtRuntime
 from repro.core.hpx_lulesh import HpxLuleshProgram, HpxVariant
 from repro.core.kernel_graph import ProblemShape
@@ -30,8 +35,8 @@ from repro.core.omp_lulesh import OmpLuleshProgram
 from repro.core.partitioning import table1_partition_sizes
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.errors import LuleshError
 from repro.lulesh.options import LuleshOptions
+from repro.openmp.runtime import OmpRuntime
 from repro.perf.registry import CounterRegistry
 from repro.perf.sources import (
     install_amt_counters,
@@ -42,16 +47,20 @@ from repro.perf.sources import (
     install_resilience_counters,
 )
 from repro.resilience.plan import ResiliencePlan
-from repro.resilience.recovery import run_with_recovery
+from repro.resilience.recovery import run_with_recovery, unwrap_physics_aborts
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from repro.simcore.policy import SchedulerPolicy
 from repro.simcore.trace import TraceRecorder
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tuning -> driver)
-    from repro.tuning.database import TuningDatabase
+if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from repro.parallel import ParallelHpxBackend
+    from repro.tuning.database import TuningDatabase  # tuning -> driver
 
-__all__ = ["RunResult", "run_omp", "run_hpx", "run_naive_hpx"]
+__all__ = [
+    "RunResult", "RunStack", "build_stack", "install_counters",
+    "run_omp", "run_hpx", "run_naive_hpx",
+]
 
 
 def _execute_program(
@@ -62,13 +71,10 @@ def _execute_program(
 ) -> None:
     """Run *program* with the requested failure semantics.
 
-    Without auto-recovery, a :class:`TaskGroupError` whose failures all
-    share one :class:`LuleshError` type is unwrapped so physics aborts keep
-    their original exception class (``VolumeError``/``QStopError``) at the
-    driver boundary; heterogeneous or injected failures surface as the
-    group error naming every failed task tag.  With auto-recovery (execute
-    mode only), the run is driven cycle-by-cycle under the checkpoint/
-    rollback protocol instead.
+    Without auto-recovery, physics aborts are unwrapped from their task
+    group (:func:`~repro.resilience.recovery.unwrap_physics_aborts`).  With
+    auto-recovery (execute mode only), the run is driven cycle-by-cycle
+    under the checkpoint/rollback protocol instead.
     """
     if plan is not None and plan.auto_recover and domain is not None:
         manager = plan.make_recovery(domain)
@@ -81,13 +87,8 @@ def _execute_program(
         finally:
             manager.close()
         return
-    try:
+    with unwrap_physics_aborts():
         program.run(iterations)
-    except TaskGroupError as group:
-        cause = group.common_cause(LuleshError)
-        if cause is not None:
-            raise cause from group
-        raise
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,223 @@ class RunResult:
         return self.runtime_ns / 1e9
 
 
-def _shape_and_domain(
-    opts: LuleshOptions, execute: bool
-) -> tuple[ProblemShape, Domain | None]:
-    if execute:
-        domain = Domain(opts)
-        return ProblemShape.from_domain(domain), domain
-    return ProblemShape.from_options(opts), None
+@dataclass
+class RunStack:
+    """Everything one run drives: domain, runtime, program, process backend.
+
+    ``domain`` is ``None`` in timing-only mode; ``backend`` is set only for
+    ``backend="process"`` runs.
+    """
+
+    domain: Domain | None
+    rt: AmtRuntime | OmpRuntime
+    program: HpxLuleshProgram | NaiveHpxProgram | OmpLuleshProgram
+    backend: "ParallelHpxBackend | None" = None
+
+    @property
+    def driver(self):
+        """What advances a cycle: the process backend if any, else the program."""
+        return self.backend if self.backend is not None else self.program
+
+    def close(self) -> None:
+        """Stop the process backend's workers, if any (idempotent)."""
+        if self.backend is not None:
+            self.backend.close()
+
+
+def build_stack(
+    impl: str,
+    opts: LuleshOptions,
+    n_workers: int,
+    domain: Domain | None = None,
+    machine: MachineConfig | None = None,
+    cost_model: CostModel | None = None,
+    costs: KernelCosts = DEFAULT_COSTS,
+    variant: HpxVariant | None = None,
+    nodal_partition: int | None = None,
+    elements_partition: int | None = None,
+    balanced_partitions: bool = False,
+    replay_graph: bool = True,
+    backend: str = "sim",
+    backend_workers: int | None = None,
+    policy: SchedulerPolicy | None = None,
+    record_spans: bool = False,
+    resilience: ResiliencePlan | None = None,
+    flight_recorder=None,
+    supervision=None,
+    dispatch: str = "wave",
+    omp_schedule: str = "static",
+    dynamic_chunk: int | None = None,
+    task_local_temporaries: bool = True,
+) -> RunStack:
+    """Build the runtime, program and process backend of one run.
+
+    *impl* is ``"hpx"``, ``"naive"`` or ``"omp"``.  *domain* is the
+    physics state in execute mode (``None``: timing only, sized from
+    *opts*).  The other arguments mean what they mean for
+    :func:`run_hpx`, :func:`run_naive_hpx` and :func:`run_omp`; each impl
+    reads its own and ignores the rest.  Partition sizes left unset fall
+    back to Table I.  The drivers and the campaign executors
+    (:mod:`repro.serve.executor`) both build through this function.
+    """
+    if backend not in ("sim", "process"):
+        raise ValueError(f"backend must be 'sim' or 'process', got {backend!r}")
+    if backend == "process" and domain is None:
+        raise ValueError(
+            "the process backend executes real kernels and requires "
+            "execute mode"
+        )
+    if dispatch not in ("wave", "dataflow"):
+        raise ValueError(
+            f"dispatch must be 'wave' or 'dataflow', got {dispatch!r}"
+        )
+    if dispatch != "wave" and backend != "process":
+        raise ValueError("dispatch selection requires backend='process'")
+    machine = machine or MachineConfig()
+    cost_model = cost_model or CostModel()
+    if domain is not None:
+        shape = ProblemShape.from_domain(domain)
+    else:
+        shape = ProblemShape.from_options(opts)
+    if resilience is not None and flight_recorder is not None:
+        resilience.stats.flight_recorder = flight_recorder
+    if impl == "omp":
+        omp = OmpRuntime(machine, cost_model, n_workers,
+                         execute_bodies=domain is not None,
+                         default_schedule=omp_schedule,
+                         dynamic_chunk=dynamic_chunk)
+        if resilience is not None:
+            omp.fault_injector = resilience.make_injector()
+        program = OmpLuleshProgram(
+            omp, shape, costs, domain,
+            task_local_temporaries=task_local_temporaries,
+        )
+        return RunStack(domain, omp, program)
+    if impl not in ("hpx", "naive"):
+        raise ValueError(f"impl must be 'hpx', 'naive' or 'omp', got {impl!r}")
+    rt = AmtRuntime(
+        machine, cost_model, n_workers, policy=policy,
+        record_spans=record_spans,
+        fault_injector=resilience.make_injector() if resilience else None,
+        replay=resilience.make_replay() if resilience else None,
+        flight_recorder=flight_recorder,
+    )
+    if impl == "naive":
+        program = NaiveHpxProgram(rt, shape, costs, domain,
+                                  replay_graph=replay_graph)
+        return RunStack(domain, rt, program)
+    table_nodal, table_elems = table1_partition_sizes(opts.nx)
+    workers = (backend_workers or 2) if backend == "process" else None
+    program = HpxLuleshProgram(
+        rt,
+        shape,
+        costs,
+        nodal_partition=nodal_partition or table_nodal,
+        elements_partition=elements_partition or table_elems,
+        domain=domain,
+        variant=variant or HpxVariant.full(),
+        balanced_partitions=balanced_partitions,
+        replay_graph=replay_graph,
+        backend=backend,
+        backend_workers=workers,
+    )
+    stack = RunStack(domain, rt, program)
+    if backend == "process":
+        from repro.parallel import ParallelHpxBackend
+
+        stack.backend = ParallelHpxBackend(
+            program, workers=workers,
+            flight_recorder=flight_recorder,
+            supervision=supervision,
+            dispatch=dispatch,
+        )
+    return stack
+
+
+def install_counters(
+    registry: CounterRegistry,
+    stack: RunStack,
+    resilience: ResiliencePlan | None = None,
+) -> None:
+    """Install every counter family *stack* feeds into *registry*.
+
+    The runtime's family (``/threads``, ``/runtime``, ... for the AMT
+    runtime, the OpenMP family otherwise; both sampled at every flush or
+    iteration end), ``/graph/*`` for capturing programs, the resolved
+    ``/hpx/partition-size/*`` for the task-based program, ``/arena/*`` in
+    execute mode, ``/parallel/*`` with a process backend and
+    ``/resilience/*`` with a *resilience* plan.
+    """
+    rt, program, b = stack.rt, stack.program, stack.backend
+    if isinstance(rt, OmpRuntime):
+        install_omp_counters(registry, rt)
+    else:
+        install_amt_counters(registry, rt)
+        install_graph_counters(registry, program.graph_stats)
+    if isinstance(program, HpxLuleshProgram):
+        registry.register_gauge(
+            "/hpx/partition-size/nodal",
+            lambda: program.nodal_partition,
+            description="resolved LagrangeNodal partition size for this run",
+        )
+        registry.register_gauge(
+            "/hpx/partition-size/elements",
+            lambda: program.elements_partition,
+            description="resolved LagrangeElements partition size for this run",
+        )
+    if stack.domain is not None:
+        install_arena_counters(registry, stack.domain)
+    if b is not None:
+        install_parallel_counters(
+            registry, b.stats,
+            supervision=b.supervisor.stats,
+            dataflow=b.dataflow_stats if b.dispatch == "dataflow" else None,
+        )
+    if resilience is not None:
+        install_resilience_counters(registry, resilience.stats)
+
+
+def _run(
+    stack: RunStack,
+    iterations: int,
+    registry: CounterRegistry | None,
+    resilience: ResiliencePlan | None,
+    record_spans: bool = False,
+) -> RunResult:
+    """Execute *stack* for *iterations* cycles, close it and report."""
+    rt, b = stack.rt, stack.backend
+    try:
+        if registry is not None:
+            install_counters(registry, stack, resilience)
+        _execute_program(stack.driver, stack.domain, iterations, resilience)
+        if b is not None and registry is not None:
+            # Warm parallel cycles never flush the DES, so the flush-hook
+            # sampler stops after the capture cycle; take one closing sample
+            # so /parallel/* gauges reflect the finished run.  The wall clock
+            # extends the simulated timeline to keep sample times monotone.
+            registry.sample(rt.stats.total_ns + b.stats.wall_ns)
+    finally:
+        stack.close()
+    stats = rt.stats
+    d = stack.domain
+    done = d.cycle if d is not None else iterations
+    if isinstance(rt, OmpRuntime):
+        return RunResult(
+            runtime_ns=stats.total_ns,
+            iterations=done,
+            utilization=stats.utilization(),
+            n_loops=stats.n_loops,
+            n_regions=stats.n_regions,
+            domain=d,
+        )
+    return RunResult(
+        runtime_ns=b.stats.wall_ns if b is not None else stats.total_ns,
+        iterations=done,
+        utilization=stats.utilization(),
+        n_tasks=stats.n_tasks,
+        domain=d,
+        trace=stats.trace if record_spans else None,
+    )
 
 
 def run_omp(
@@ -163,38 +374,14 @@ def run_omp(
     *resilience* plan enables fault injection at parallel-region entry and
     checkpoint-based auto-recovery (execute mode).
     """
-    machine = machine or MachineConfig()
-    cost_model = cost_model or CostModel()
-    shape, domain = _shape_and_domain(opts, execute)
-    from repro.openmp.runtime import OmpRuntime
-
-    omp = OmpRuntime(machine, cost_model, n_threads, execute_bodies=execute,
-                     default_schedule=omp_schedule,
-                     dynamic_chunk=dynamic_chunk)
-    if resilience is not None:
-        omp.fault_injector = resilience.make_injector()
-        if flight_recorder is not None:
-            resilience.stats.flight_recorder = flight_recorder
-    if registry is not None:
-        install_omp_counters(registry, omp)
-        if domain is not None:
-            install_arena_counters(registry, domain)
-        if resilience is not None:
-            install_resilience_counters(registry, resilience.stats)
-    program = OmpLuleshProgram(
-        omp, shape, costs, domain, task_local_temporaries=task_local_temporaries
+    stack = build_stack(
+        "omp", opts, n_threads, Domain(opts) if execute else None,
+        machine, cost_model, costs,
+        resilience=resilience, flight_recorder=flight_recorder,
+        omp_schedule=omp_schedule, dynamic_chunk=dynamic_chunk,
+        task_local_temporaries=task_local_temporaries,
     )
-    _execute_program(program, domain, iterations, resilience)
-    stats = omp.stats
-    done = domain.cycle if domain is not None else iterations
-    return RunResult(
-        runtime_ns=stats.total_ns,
-        iterations=done,
-        utilization=stats.utilization(),
-        n_loops=stats.n_loops,
-        n_regions=stats.n_regions,
-        domain=domain,
-    )
+    return _run(stack, iterations, registry, resilience)
 
 
 def run_hpx(
@@ -255,123 +442,33 @@ def run_hpx(
     (level-synchronous, full join per wave) or ``"dataflow"``
     (dependency-driven streaming with steal-on-idle; same bits out).
     """
-    if backend not in ("sim", "process"):
-        raise ValueError(f"backend must be 'sim' or 'process', got {backend!r}")
-    if backend == "process" and not execute:
-        raise ValueError(
-            "the process backend executes real kernels and requires "
-            "execute mode"
-        )
-    if dispatch not in ("wave", "dataflow"):
-        raise ValueError(
-            f"dispatch must be 'wave' or 'dataflow', got {dispatch!r}"
-        )
-    if dispatch != "wave" and backend != "process":
-        raise ValueError("dispatch selection requires backend='process'")
-    machine = machine or MachineConfig()
-    cost_model = cost_model or CostModel()
-    variant = variant or HpxVariant.full()
-    table_nodal, table_elems = table1_partition_sizes(opts.nx)
     if tuning is not None and (
         nodal_partition is None or elements_partition is None
     ):
         tuned = tuning.tuned_partition_sizes(
-            machine, "hpx", opts.nx, opts.numReg, n_workers
+            machine or MachineConfig(), "hpx", opts.nx, opts.numReg, n_workers
         )
         if tuned is not None:
-            table_nodal, table_elems = tuned
-    shape, domain = _shape_and_domain(opts, execute)
-    rt = AmtRuntime(
-        machine, cost_model, n_workers, policy=policy,
-        record_spans=record_spans,
-        fault_injector=resilience.make_injector() if resilience else None,
-        replay=resilience.make_replay() if resilience else None,
-        flight_recorder=flight_recorder,
-    )
-    if resilience is not None and flight_recorder is not None:
-        resilience.stats.flight_recorder = flight_recorder
-    resolved_nodal = nodal_partition or table_nodal
-    resolved_elems = elements_partition or table_elems
-    if registry is not None:
-        install_amt_counters(registry, rt)
-        registry.register_gauge(
-            "/hpx/partition-size/nodal",
-            lambda: resolved_nodal,
-            description="resolved LagrangeNodal partition size for this run",
-        )
-        registry.register_gauge(
-            "/hpx/partition-size/elements",
-            lambda: resolved_elems,
-            description="resolved LagrangeElements partition size for this run",
-        )
-        if domain is not None:
-            install_arena_counters(registry, domain)
-        if resilience is not None:
-            install_resilience_counters(registry, resilience.stats)
-    program = HpxLuleshProgram(
-        rt,
-        shape,
-        costs,
-        nodal_partition=resolved_nodal,
-        elements_partition=resolved_elems,
-        domain=domain,
+            nodal_partition = nodal_partition or tuned[0]
+            elements_partition = elements_partition or tuned[1]
+    stack = build_stack(
+        "hpx", opts, n_workers, Domain(opts) if execute else None,
+        machine, cost_model, costs,
         variant=variant,
+        nodal_partition=nodal_partition,
+        elements_partition=elements_partition,
         balanced_partitions=balanced_partitions,
         replay_graph=replay_graph,
         backend=backend,
-        backend_workers=(backend_workers or 2) if backend == "process" else None,
+        backend_workers=backend_workers,
+        policy=policy,
+        record_spans=record_spans,
+        resilience=resilience,
+        flight_recorder=flight_recorder,
+        supervision=supervision,
+        dispatch=dispatch,
     )
-    if registry is not None:
-        install_graph_counters(registry, program.graph_stats)
-    backend_obj = None
-    if backend == "process":
-        from repro.parallel import ParallelHpxBackend
-
-        backend_obj = ParallelHpxBackend(
-            program, workers=backend_workers or 2,
-            flight_recorder=flight_recorder,
-            supervision=supervision,
-            dispatch=dispatch,
-        )
-        if registry is not None:
-            install_parallel_counters(
-                registry, backend_obj.stats,
-                supervision=backend_obj.supervisor.stats,
-                dataflow=(
-                    backend_obj.dataflow_stats
-                    if dispatch == "dataflow" else None
-                ),
-            )
-    try:
-        _execute_program(backend_obj or program, domain, iterations, resilience)
-        if backend_obj is not None and registry is not None:
-            # Warm parallel cycles never flush the DES, so the flush-hook
-            # sampler stops after the capture cycle; take one closing sample
-            # so /parallel/* gauges reflect the finished run.  The wall clock
-            # extends the simulated timeline to keep sample times monotone.
-            registry.sample(rt.stats.total_ns + backend_obj.stats.wall_ns)
-    finally:
-        if backend_obj is not None:
-            backend_obj.close()
-    stats = rt.stats
-    done = domain.cycle if domain is not None else iterations
-    if backend_obj is not None:
-        return RunResult(
-            runtime_ns=backend_obj.stats.wall_ns,
-            iterations=done,
-            utilization=stats.utilization(),
-            n_tasks=stats.n_tasks,
-            domain=domain,
-            trace=stats.trace if record_spans else None,
-        )
-    return RunResult(
-        runtime_ns=stats.total_ns,
-        iterations=done,
-        utilization=stats.utilization(),
-        n_tasks=stats.n_tasks,
-        domain=domain,
-        trace=stats.trace if record_spans else None,
-    )
+    return _run(stack, iterations, registry, resilience, record_spans)
 
 
 def run_naive_hpx(
@@ -393,35 +490,12 @@ def run_naive_hpx(
     ``replay_graph`` works as in :func:`run_hpx`: the first cycle's loop
     graph is captured and re-fired on subsequent cycles.
     """
-    machine = machine or MachineConfig()
-    cost_model = cost_model or CostModel()
-    shape, domain = _shape_and_domain(opts, execute)
-    rt = AmtRuntime(
-        machine, cost_model, n_workers, record_spans=record_spans,
-        fault_injector=resilience.make_injector() if resilience else None,
-        replay=resilience.make_replay() if resilience else None,
+    stack = build_stack(
+        "naive", opts, n_workers, Domain(opts) if execute else None,
+        machine, cost_model, costs,
+        replay_graph=replay_graph,
+        record_spans=record_spans,
+        resilience=resilience,
         flight_recorder=flight_recorder,
     )
-    if resilience is not None and flight_recorder is not None:
-        resilience.stats.flight_recorder = flight_recorder
-    if registry is not None:
-        install_amt_counters(registry, rt)
-        if domain is not None:
-            install_arena_counters(registry, domain)
-        if resilience is not None:
-            install_resilience_counters(registry, resilience.stats)
-    program = NaiveHpxProgram(rt, shape, costs, domain,
-                              replay_graph=replay_graph)
-    if registry is not None:
-        install_graph_counters(registry, program.graph_stats)
-    _execute_program(program, domain, iterations, resilience)
-    stats = rt.stats
-    done = domain.cycle if domain is not None else iterations
-    return RunResult(
-        runtime_ns=stats.total_ns,
-        iterations=done,
-        utilization=stats.utilization(),
-        n_tasks=stats.n_tasks,
-        domain=domain,
-        trace=stats.trace if record_spans else None,
-    )
+    return _run(stack, iterations, registry, resilience, record_spans)

@@ -30,6 +30,11 @@ The kernels, their rates and their replay safety come from the kernel table
 (:data:`repro.core.kernel_graph.KERNELS`).  Every work task carries the
 :class:`~repro.core.kernel_graph.TaskSpec` its body executes, which is
 what the process backend lowers the captured graph from.
+
+The cycle lifecycle lives in two base classes shared with the other
+orchestrations: :class:`LeapfrogProgram` (``TimeIncrement``, fault
+injection and the stoptime loop) and :class:`GraphCycleProgram` (graph
+capture, replay and invalidation, which the naive port reuses).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.amt.future import Future
 from repro.amt.graph import GraphStats, GraphTemplate
@@ -60,7 +65,9 @@ from repro.lulesh.kernels.constraints import (
 )
 from repro.simcore.allocator import AllocatorModel
 
-__all__ = ["HpxVariant", "HpxLuleshProgram"]
+__all__ = [
+    "HpxVariant", "LeapfrogProgram", "GraphCycleProgram", "HpxLuleshProgram",
+]
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,18 @@ class HpxVariant:
     # scheduler priority.  The paper leaves priorities unused (§V); the
     # scheduler-policy ablation tests whether they would have helped.
     prioritize_expensive_regions: bool = False
+
+    #: The ladder rungs by name, as the CLI and campaign jobs spell them.
+    NAMES: ClassVar[tuple[str, ...]] = ("full", "fig5", "fig6", "fig7")
+
+    @classmethod
+    def named(cls, name: str) -> "HpxVariant":
+        """The ladder rung called *name* (one of :attr:`NAMES`)."""
+        if name not in cls.NAMES:
+            raise ValueError(
+                f"variant must be one of {cls.NAMES}, got {name!r}"
+            )
+        return getattr(cls, name)()
 
     @classmethod
     def full(cls) -> "HpxVariant":
@@ -104,7 +123,7 @@ class HpxVariant:
             return "+chains (Fig.6)"
         if not self.parallel_chains:
             return "+combined (Fig.7)"
-        return "full (Fig.8)"
+        return "+parallel chains (Fig.8)"
 
 
 def _kernels(*names: str) -> tuple[Kernel, ...]:
@@ -131,7 +150,178 @@ _CONSTRAINTS = _kernels("courant", "hydro")
 _BC = KERNELS["accel_bc"]
 
 
-class HpxLuleshProgram:
+class LeapfrogProgram:
+    """The cycle prologue and run loop shared by every LULESH orchestration.
+
+    A subclass sets ``rt`` (the runtime that may carry a fault injector)
+    and ``domain`` (``None`` in timing-only mode), and implements
+    :meth:`_advance`, one cycle's parallel work.
+    """
+
+    rt: object
+    domain: Domain | None
+    _timing_cycle = 0  # cycle counter for timing-only runs
+
+    def _advance(self, cycle: int, injector) -> None:
+        raise NotImplementedError
+
+    def step(self) -> None:
+        """Advance exactly one leapfrog cycle.
+
+        ``TimeIncrement`` runs first (timing-only runs just count the
+        cycle); the runtime's fault injector (if any) is told the upcoming
+        cycle number and given its chance to corrupt state; then the
+        cycle's work runs inside one workspace phase.
+        """
+        d = self.domain
+        if d is not None:
+            time_increment(d)
+            phase = d.workspace.phase()
+            cycle = d.cycle
+        else:
+            self._timing_cycle += 1
+            phase = nullcontext()
+            cycle = self._timing_cycle
+        injector = self.rt.fault_injector
+        if injector is not None:
+            injector.begin_cycle(cycle)
+            if d is not None:
+                injector.corrupt_fields(d)
+        with phase:
+            self._advance(cycle, injector)
+
+    def run(self, iterations: int) -> None:
+        """Advance *iterations* cycles (or fewer if stoptime hits)."""
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        d = self.domain
+        for _ in range(iterations):
+            if d is not None and d.time >= d.opts.stoptime:
+                break
+            self.step()
+
+
+class GraphCycleProgram(LeapfrogProgram):
+    """A program whose cycle is one task graph, captured once and replayed.
+
+    This is §IV's pre-created iteration graph, kept across cycles: the
+    first cycle's graph is captured and later cycles re-fire it in place
+    (``replay_graph``).  A subclass supplies three things:
+    :meth:`_build_cycle` creates and runs one cycle's tasks and returns
+    what :meth:`_finish_cycle` needs; :meth:`_graph_key` names everything
+    the graph's structure depends on; :meth:`_finish_cycle` runs after
+    every built or replayed cycle.
+    """
+
+    def __init__(
+        self, rt: AmtRuntime, domain: Domain | None, replay_graph: bool
+    ) -> None:
+        self.rt = rt
+        self.domain = domain
+        self.replay_graph = replay_graph
+        self.graph_stats = GraphStats()
+        self._template: GraphTemplate | None = None
+        self._template_result: object = None
+        self._template_key: tuple | None = None
+        self._last_cycle: int | None = None
+
+    def _build_cycle(self) -> object:
+        raise NotImplementedError
+
+    def _graph_key(self) -> tuple:
+        raise NotImplementedError
+
+    def _finish_cycle(self, result) -> None:
+        raise NotImplementedError
+
+    def _record(self, kind: str, **detail) -> None:
+        if self.rt.flight_recorder is not None:
+            self.rt.flight_recorder.record(
+                kind, time_ns=self.rt.stats.total_ns, **detail
+            )
+
+    def _invalidate_template(self) -> None:
+        """Drop the captured graph; the next cycle rebuilds (and recaptures)."""
+        if self._template is not None:
+            self._template = None
+            self._template_result = None
+            self.graph_stats.invalidations += 1
+            self._record("graph_invalidate")
+
+    def begin_job(self) -> None:
+        """Rewind per-run bookkeeping for a fresh run on a warm program.
+
+        Campaign executors (:mod:`repro.serve`) reuse one program across
+        many jobs.  A new job restarts at cycle 1, which the rollback
+        detector would misread as a checkpoint rewind and drop the captured
+        template — the template reuse this method exists to preserve.  The
+        task bodies bind the domain *object*, so with the domain's fields
+        restored in place the capture stays valid across jobs.
+        ``graph_stats`` is zeroed in place (counter closures hold it); the
+        template itself is deliberately kept.
+        """
+        self._last_cycle = None
+        self._timing_cycle = 0
+        self.graph_stats.reset()
+
+    def _advance(self, cycle: int, injector) -> None:
+        """Replay the captured graph, or build (and capture) this cycle's.
+
+        A captured template is invalidated when the cycle counter is
+        non-monotone (a checkpoint rollback rewound the run — the captured
+        graph would replay against the wrong per-cycle bindings), when the
+        fault injector plans to strike this cycle (fault draws happen at
+        task *creation*, which a replay never performs, so the cycle must
+        be rebuilt), or when the graph structure key changes.  Fault cycles
+        are also not captured: their graphs embed spent fire closures and
+        stall-inflated costs.
+        """
+        stats = self.graph_stats
+        faulty = injector is not None and injector.plans_faults(cycle)
+        if self._template is not None:
+            rollback = self._last_cycle is not None and cycle <= self._last_cycle
+            if rollback or faulty or self._graph_key() != self._template_key:
+                self._invalidate_template()
+        self._last_cycle = cycle
+        if self._template is not None:
+            try:
+                stats.replay_ns += self.rt.replay_graph(self._template)
+            except Exception:
+                # A failure mid-replay leaves later segments un-rearmed;
+                # the template is not safely reusable.
+                self._invalidate_template()
+                raise
+            stats.replays += 1
+            self._record("graph_replay", cycle=cycle)
+            self._finish_cycle(self._template_result)
+            return
+        capture = self.replay_graph and not faulty
+        if capture:
+            self.rt.begin_capture()
+        t0 = time.perf_counter_ns()
+        exec0 = self.rt.real_exec_ns
+        try:
+            result = self._build_cycle()
+        except Exception:
+            if capture:
+                self.rt.abort_capture()
+            raise
+        # Construction cost only: blocking barriers execute tasks *inside*
+        # the build, so subtract pool-execution time.
+        stats.build_ns += (
+            time.perf_counter_ns() - t0 - (self.rt.real_exec_ns - exec0)
+        )
+        if capture:
+            self._template = self.rt.end_capture()
+            self._template_result = result
+            self._template_key = self._graph_key()
+            stats.captures += 1
+            self._record("graph_capture", cycle=cycle,
+                         n_segments=len(self._template.segments))
+        self._finish_cycle(result)
+
+
+class HpxLuleshProgram(GraphCycleProgram):
     """Builds and runs the per-iteration task graph."""
 
     def __init__(
@@ -157,16 +347,14 @@ class HpxLuleshProgram:
             allocator = replace(
                 allocator, task_local=variant.task_local_temporaries
             )
-        self.rt = rt
+        super().__init__(rt, domain, replay_graph)
         self.shape = shape
         self.costs = costs
         self.nodal_partition = nodal_partition
         self.elements_partition = elements_partition
-        self.domain = domain
         self.variant = variant
         self.allocator = allocator
         self.balanced_partitions = balanced_partitions
-        self.replay_graph = replay_graph
         # Execution backend identity ("sim" DES pool, or "process" real
         # cores via repro.parallel) and its worker count.  Part of the
         # template invalidation key: a backend switch mid-run must rebuild
@@ -174,14 +362,9 @@ class HpxLuleshProgram:
         # backend.
         self.backend = backend
         self.backend_workers = backend_workers
+        # Counted by build_iteration; a replayed cycle keeps the count of
+        # the build it captured.
         self.barriers_per_iteration = 0
-        self.graph_stats = GraphStats()
-        self._timing_cycle = 0  # cycle counter for timing-only runs
-        self._template: GraphTemplate | None = None
-        self._template_final: Future | None = None
-        self._template_barriers = 0
-        self._template_key: tuple | None = None
-        self._last_cycle: int | None = None
         if domain is not None:
             domain.configure_workspace(variant.task_local_temporaries)
 
@@ -485,145 +668,23 @@ class HpxLuleshProgram:
             self.backend_workers,
         )
 
-    def _invalidate_template(self) -> None:
-        """Drop the captured graph; the next cycle rebuilds (and recaptures)."""
-        if self._template is not None:
-            self._template = None
-            self._template_final = None
-            self.graph_stats.invalidations += 1
-            if self.rt.flight_recorder is not None:
-                self.rt.flight_recorder.record(
-                    "graph_invalidate", time_ns=self.rt.stats.total_ns
-                )
-
-    def begin_job(self) -> None:
-        """Rewind per-run bookkeeping for a fresh run on a warm program.
-
-        Campaign executors (:mod:`repro.serve`) reuse one program across
-        many jobs.  A new job restarts at cycle 1, which the rollback
-        detector would misread as a checkpoint rewind and drop the captured
-        template — the template reuse this method exists to preserve.  The
-        kernel closures bind the domain *object*, so with the domain's
-        fields restored in place the capture stays valid across jobs.
-        ``graph_stats`` is zeroed in place (counter closures hold it); the
-        template itself is deliberately kept.
-        """
-        self._last_cycle = None
-        self._timing_cycle = 0
-        self.graph_stats.reset()
-
-    def _advance(self, cycle: int, injector) -> Future:
-        """Produce this cycle's iteration result: replay, or build-and-flush.
-
-        A captured template is invalidated when the graph structure key
-        changes, when the cycle counter is non-monotone (a checkpoint
-        rollback rewound the run — the captured graph would replay against
-        the wrong per-cycle bindings), or when the fault injector plans to
-        strike this cycle (fault draws happen at task *creation*, which a
-        replay never performs, so the cycle must be rebuilt).  Fault cycles
-        are also not captured: their graphs embed spent fire closures and
-        stall-inflated costs.
-        """
-        stats = self.graph_stats
-        faulty = injector is not None and injector.plans_faults(cycle)
-        if self.replay_graph and self._template is not None:
-            rollback = self._last_cycle is not None and cycle <= self._last_cycle
-            if self._graph_key() != self._template_key or rollback or faulty:
-                self._invalidate_template()
-        self._last_cycle = cycle
-        if self._template is not None:
-            try:
-                stats.replay_ns += self.rt.replay_graph(self._template)
-            except Exception:
-                # A failure mid-replay leaves later segments un-rearmed;
-                # the template is not safely reusable.
-                self._invalidate_template()
-                raise
-            stats.replays += 1
-            if self.rt.flight_recorder is not None:
-                self.rt.flight_recorder.record(
-                    "graph_replay", time_ns=self.rt.stats.total_ns, cycle=cycle
-                )
-            self.barriers_per_iteration = self._template_barriers
-            assert self._template_final is not None
-            return self._template_final
-        capture = self.replay_graph and not faulty
-        if capture:
-            self.rt.begin_capture()
-        t0 = time.perf_counter_ns()
-        exec0 = self.rt.real_exec_ns
-        try:
-            final = self.build_iteration()
-            self.rt.flush()
-        except Exception:
-            if capture:
-                self.rt.abort_capture()
-            raise
-        # Construction cost only: the Fig. 5 variant executes blocking
-        # barriers *inside* the build, so subtract pool-execution time.
-        stats.build_ns += (
-            time.perf_counter_ns() - t0 - (self.rt.real_exec_ns - exec0)
-        )
-        if capture:
-            self._template = self.rt.end_capture()
-            self._template_final = final
-            self._template_barriers = self.barriers_per_iteration
-            self._template_key = self._graph_key()
-            stats.captures += 1
-            if self.rt.flight_recorder is not None:
-                self.rt.flight_recorder.record(
-                    "graph_capture",
-                    time_ns=self.rt.stats.total_ns,
-                    cycle=cycle,
-                    n_segments=len(self._template.segments),
-                )
+    def _build_cycle(self) -> Future:
+        final = self.build_iteration()
+        self.rt.flush()
         return final
 
-    # --- multi-iteration driver ---------------------------------------------------
+    def _finish_cycle(self, final: Future) -> None:
+        """Re-raise the iteration's failure, if any task failed.
 
-    def step(self) -> None:
-        """Advance exactly one leapfrog cycle.
-
-        Builds the iteration graph and flushes it — or, with
-        ``replay_graph`` (the default), re-fires the captured graph
-        template in place — then re-raises the final future's failure if
-        any task failed: a physics abort surfaces with its original type
-        wrapped in the barrier's :class:`~repro.amt.errors.TaskGroupError`
-        naming the failed partitions.  The runtime's fault injector (if
-        any) is told the upcoming cycle number and given its chance to
-        corrupt state.
+        A physics abort surfaces with its original type wrapped in the
+        barrier's :class:`~repro.amt.errors.TaskGroupError` naming the
+        failed partitions.
         """
-        d = self.domain
-        if d is not None:
-            time_increment(d)
-            phase = d.workspace.phase()
-            cycle = d.cycle
-        else:
-            self._timing_cycle += 1
-            phase = nullcontext()
-            cycle = self._timing_cycle
-        injector = self.rt.fault_injector
-        if injector is not None:
-            injector.begin_cycle(cycle)
-            if d is not None:
-                injector.corrupt_fields(d)
-        with phase:
-            final = self._advance(cycle, injector)
         if not final.is_ready():
             raise RuntimeError("iteration graph did not complete")
         exc = final.exception_nowait()
         if exc is not None:
             raise exc
-
-    def run(self, iterations: int) -> None:
-        """Advance *iterations* cycles, flushing the graph once per cycle."""
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        for _ in range(iterations):
-            if self.domain is not None:
-                if self.domain.time >= self.domain.opts.stoptime:
-                    break
-            self.step()
 
 
 def _noop(*_args) -> None:

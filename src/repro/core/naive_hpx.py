@@ -11,28 +11,26 @@ blocking :func:`repro.amt.algorithms.for_loop` with HPX's default
 auto-chunking.  Each loop pays task creation, scheduling, and a blocking
 barrier — the structure the paper's manual decomposition dismantles.
 
-Like :class:`~repro.core.hpx_lulesh.HpxLuleshProgram`, the program captures
-the first cycle's loop graph and replays it on subsequent cycles
-(``replay_graph``): per-cycle state the loop bodies need lives in one
-recyclable :class:`_NaiveCycleState` that is reset in place before each
-replay, and the timestep is read from the domain at execution time.
+The program inherits graph capture and replay from
+:class:`~repro.core.hpx_lulesh.GraphCycleProgram`, the same cycle
+lifecycle the task-based program runs: the first cycle's loop graph is
+captured and re-fired on subsequent cycles (``replay_graph``).  Per-cycle
+state the loop bodies need lives in one recyclable
+:class:`_NaiveCycleState` that is reset in place between cycles, and the
+timestep is read from the domain at execution time.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-
 from repro.amt.algorithms import for_loop
-from repro.amt.graph import GraphStats, GraphTemplate
 from repro.amt.runtime import AmtRuntime
+from repro.core.hpx_lulesh import GraphCycleProgram
 from repro.core.kernel_graph import EOS_LOOPS_PER_REP, KERNELS, ProblemShape
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.kernels.constraints import (
-    reduce_time_constraints,
-    time_increment,
-)
+from repro.lulesh.kernels.constraints import reduce_time_constraints
+# Kept as a module attribute: perfbench/spans.py patches it by this path.
+from repro.lulesh.kernels.constraints import time_increment  # noqa: F401
 
 __all__ = ["naive_iteration", "NaiveHpxProgram"]
 
@@ -173,8 +171,12 @@ def _skip(lo: int, hi: int) -> None:
     """Loop body of a cost-only loop (and of every loop in timing mode)."""
 
 
-class NaiveHpxProgram:
-    """Multi-iteration naive (prior-work [16]) HPX LULESH run."""
+class NaiveHpxProgram(GraphCycleProgram):
+    """Multi-iteration naive (prior-work [16]) HPX LULESH run.
+
+    Failures surface at the blocking barrier of the loop that failed
+    (``wait_all`` re-raises a single failure with its original type).
+    """
 
     def __init__(
         self,
@@ -184,127 +186,25 @@ class NaiveHpxProgram:
         domain: Domain | None = None,
         replay_graph: bool = True,
     ) -> None:
-        self.rt = rt
+        super().__init__(rt, domain, replay_graph)
         self.shape = shape
         self.costs = costs
-        self.domain = domain
-        self.replay_graph = replay_graph
-        self.graph_stats = GraphStats()
-        self._timing_cycle = 0  # cycle counter for timing-only runs
         self._state = _NaiveCycleState(shape.num_regions)
-        self._template: GraphTemplate | None = None
-        self._last_cycle: int | None = None
 
-    def _invalidate_template(self) -> None:
-        if self._template is not None:
-            self._template = None
-            self.graph_stats.invalidations += 1
-            if self.rt.flight_recorder is not None:
-                self.rt.flight_recorder.record(
-                    "graph_invalidate", time_ns=self.rt.stats.total_ns
-                )
+    def _graph_key(self) -> tuple:
+        return (self.shape,)
 
-    def begin_job(self) -> None:
-        """Rewind per-run bookkeeping for a fresh run on a warm program.
-
-        Same contract as :meth:`HpxLuleshProgram.begin_job`: a new campaign
-        job restarts at cycle 1 without tripping the rollback detector, and
-        the captured loop graph survives for cross-job replay.
-        """
-        self._last_cycle = None
-        self._timing_cycle = 0
-        self.graph_stats.reset()
-
-    def _advance(self, cycle: int, injector) -> None:
-        """Replay the captured loop graph, or build-and-capture it.
-
-        Same invalidation rules as the task-graph program: a rolled-back
-        (non-monotone) cycle or a fault-injection cycle rebuilds from
-        scratch, and fault cycles are never captured.
-        """
-        stats = self.graph_stats
-        d = self.domain
-        faulty = injector is not None and injector.plans_faults(cycle)
-        if self._template is not None:
-            rollback = self._last_cycle is not None and cycle <= self._last_cycle
-            if rollback or faulty:
-                self._invalidate_template()
-        self._last_cycle = cycle
-        if self._template is not None:
-            self._state.reset()
-            try:
-                stats.replay_ns += self.rt.replay_graph(self._template)
-            except Exception:
-                self._invalidate_template()
-                raise
-            stats.replays += 1
-            if self.rt.flight_recorder is not None:
-                self.rt.flight_recorder.record(
-                    "graph_replay", time_ns=self.rt.stats.total_ns, cycle=cycle
-                )
-            if d is not None:
-                reduce_time_constraints(d, self._state.courant, self._state.hydro)
-            return
-        capture = self.replay_graph and not faulty
-        if capture:
-            self.rt.begin_capture()
+    def _build_cycle(self) -> _NaiveCycleState:
+        # A failed cycle can leave the state half-spent; every build
+        # starts clean (a failure also drops the template, so the next
+        # cycle builds).
         self._state.reset()
-        t0 = time.perf_counter_ns()
-        exec0 = self.rt.real_exec_ns
-        try:
-            naive_iteration(self.rt, self.shape, self.costs, d,
-                            state=self._state)
-        except Exception:
-            if capture:
-                self.rt.abort_capture()
-            raise
-        # Every loop is a blocking barrier, so pool-execution time is
-        # interleaved with construction; subtract it out.
-        stats.build_ns += (
-            time.perf_counter_ns() - t0 - (self.rt.real_exec_ns - exec0)
-        )
-        if capture:
-            self._template = self.rt.end_capture()
-            stats.captures += 1
-            if self.rt.flight_recorder is not None:
-                self.rt.flight_recorder.record(
-                    "graph_capture",
-                    time_ns=self.rt.stats.total_ns,
-                    cycle=cycle,
-                    n_segments=len(self._template.segments),
-                )
-        if d is not None:
-            reduce_time_constraints(d, self._state.courant, self._state.hydro)
+        return naive_iteration(self.rt, self.shape, self.costs, self.domain,
+                               state=self._state)
 
-    def step(self) -> None:
-        """Advance exactly one leapfrog cycle.
-
-        Failures surface at the blocking barrier of the loop that failed
-        (``wait_all`` re-raises a single failure with its original type).
-        """
-        d = self.domain
-        if d is not None:
-            time_increment(d)
-            phase = d.workspace.phase()
-            cycle = d.cycle
-        else:
-            self._timing_cycle += 1
-            phase = nullcontext()
-            cycle = self._timing_cycle
-        injector = self.rt.fault_injector
-        if injector is not None:
-            injector.begin_cycle(cycle)
-            if d is not None:
-                injector.corrupt_fields(d)
-        with phase:
-            self._advance(cycle, injector)
-
-    def run(self, iterations: int) -> None:
-        """Advance *iterations* cycles (or fewer if stoptime hits)."""
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        for _ in range(iterations):
-            if self.domain is not None:
-                if self.domain.time >= self.domain.opts.stoptime:
-                    break
-            self.step()
+    def _finish_cycle(self, state: _NaiveCycleState) -> None:
+        """The constraint reduction, which runs outside the loop graph."""
+        courant, hydro = state.courant, state.hydro
+        state.reset()  # re-arms the loop bodies for the next replay
+        if self.domain is not None:
+            reduce_time_constraints(self.domain, courant, hydro)

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--variant",
-        choices=("full", "fig5", "fig6", "fig7"),
+        choices=HpxVariant.NAMES,
         default="full",
         help="HPX optimization-ladder variant for single runs",
     )
@@ -724,7 +724,8 @@ def _single_run(args: argparse.Namespace) -> int:
     try:
         if args.impl == "hpx":
             result = run_hpx(opts, threads, args.i, execute=args.execute,
-                             variant=_selected_variant(args), registry=registry,
+                             variant=HpxVariant.named(args.variant),
+                             registry=registry,
                              nodal_partition=args.partition_nodal,
                              elements_partition=args.partition_elems,
                              balanced_partitions=args.balanced_partitions,
@@ -837,7 +838,7 @@ def _emit_trace(args: argparse.Namespace, result, threads: int) -> None:
         args.trace, result.trace.spans,
         process_name=(
             f"lulesh-hpx {args.impl} s={args.s} T={threads}"
-            + (f" [{_selected_variant(args).label()}]"
+            + (f" [{HpxVariant.named(args.variant).label()}]"
                if args.impl == "hpx" else "")
         ),
         n_workers=threads,
@@ -1009,15 +1010,6 @@ def _tune_run(args: argparse.Namespace) -> int:
     if registry is not None:
         _emit_counters(args, registry)
     return 0
-
-
-def _selected_variant(args: argparse.Namespace) -> HpxVariant:
-    return {
-        "full": HpxVariant.full,
-        "fig5": HpxVariant.fig5,
-        "fig6": HpxVariant.fig6,
-        "fig7": HpxVariant.fig7,
-    }[args.variant]()
 
 
 def _emit_counters(args: argparse.Namespace, registry) -> None:
@@ -1214,7 +1206,7 @@ def _obs_snapshot(args: argparse.Namespace) -> dict[str, float]:
     resilience = _resilience_plan(args)
     if args.impl == "hpx":
         run_hpx(opts, threads, args.i, execute=args.execute,
-                variant=_selected_variant(args), registry=registry,
+                variant=HpxVariant.named(args.variant), registry=registry,
                 resilience=resilience, replay_graph=args.replay_graph)
     elif args.impl == "naive":
         run_naive_hpx(opts, threads, args.i, execute=args.execute,

@@ -324,11 +324,10 @@ def ablation_experiment(
         add("openmp (Fig.4)", o.runtime_ns)
         n = run_naive_hpx(opts, threads, iterations, machine, cost_model, costs)
         add("naive for_each [16]", n.runtime_ns)
+        ladder = (HpxVariant.fig5(), HpxVariant.fig6(), HpxVariant.fig7(),
+                  HpxVariant.full())
         for variant, label in (
-            (HpxVariant.fig5(), "partition+barriers (Fig.5)"),
-            (HpxVariant.fig6(), "+chains (Fig.6)"),
-            (HpxVariant.fig7(), "+combined (Fig.7)"),
-            (HpxVariant.full(), "+parallel chains (Fig.8)"),
+            *((v, v.label()) for v in ladder),
             (
                 HpxVariant(task_local_temporaries=False),
                 "Fig.8 w/ global temporaries",

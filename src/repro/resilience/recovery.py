@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +38,10 @@ from repro.resilience.errors import (
 )
 from repro.resilience.stats import ResilienceStats
 
-__all__ = ["RecoveryManager", "run_with_recovery", "recoverable_types"]
+__all__ = [
+    "RecoveryManager", "run_with_recovery", "recoverable_types",
+    "unwrap_physics_aborts",
+]
 
 
 def recoverable_types() -> tuple[type, ...]:
@@ -65,6 +69,25 @@ def _physics_cause(exc: BaseException) -> LuleshError | None:
         if isinstance(cause, LuleshError):
             return cause
     return None
+
+
+@contextmanager
+def unwrap_physics_aborts() -> Iterator[None]:
+    """Re-raise a task-group failure as the physics abort behind it.
+
+    A :class:`TaskGroupError` whose failures all share one
+    :class:`LuleshError` type surfaces as that error, so physics aborts
+    keep their class (``VolumeError``/``QStopError``) at the driver
+    boundary; heterogeneous or injected failures pass through as the group
+    error naming every failed task tag.
+    """
+    try:
+        yield
+    except TaskGroupError as group:
+        cause = _physics_cause(group)
+        if cause is None:
+            raise
+        raise cause from group
 
 
 class RecoveryManager:

@@ -7,7 +7,10 @@ cycle-1 task graph, and — for the process backend — creating the shared-
 memory segment and fork-server worker pool.  A :class:`WarmExecutor` owns
 one such stack, keyed by everything that shapes it
 (:func:`executor_key`: shape + impl + knobs, **excluding** the iteration
-count, which is run-length control), and serves any number of jobs:
+count, which is run-length control), and serves any number of jobs.  The
+stack is built by :func:`repro.core.driver.build_stack` and each job's
+counters are installed by :func:`repro.core.driver.install_counters`,
+the same two functions the ``run_*`` drivers use.  Per job:
 
 1. per-run runtime state is rewound (``reset_stats``, flush hooks cleared,
    ``program.begin_job()``, ``backend.begin_job()``) — crucially *without*
@@ -20,9 +23,12 @@ count, which is run-length control), and serves any number of jobs:
    flight recorder are wired in, so job N+1 never reports job N's numbers.
 
 The leapfrog then runs cycle by cycle with cooperative cancellation and
-deadline checks between cycles, and the executor distils the run into a
-deterministic result payload (counters filtered of wall-clock-only
-families) plus non-cacheable metadata (host wall time, reuse flags).
+deadline checks between cycles — one step loop for every impl (an OpenMP
+job gets a new runtime and program over the warm Domain, since those are
+cheap and carry per-run scheduling state) — and the executor distils the
+run into a deterministic result payload (counters filtered of
+wall-clock-only families) plus non-cacheable metadata (host wall time,
+reuse flags).
 
 :class:`ExecutorPool` bounds how many stacks exist at once, evicting the
 least-recently-used idle executor when a new key needs a slot.
@@ -35,41 +41,21 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.amt.errors import TaskGroupError
-from repro.amt.runtime import AmtRuntime
-from repro.core.hpx_lulesh import HpxLuleshProgram, HpxVariant
-from repro.core.kernel_graph import ProblemShape
-from repro.core.naive_hpx import NaiveHpxProgram
-from repro.core.omp_lulesh import OmpLuleshProgram
+from repro.core.driver import RunStack, build_stack, install_counters
+from repro.core.hpx_lulesh import HpxVariant
 from repro.lulesh.checkpoint import restore_state, snapshot_state
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.errors import LuleshError
 from repro.lulesh.options import LuleshOptions
 from repro.obs.diff import DEFAULT_SKIP
 from repro.perf.registry import CounterRegistry
-from repro.perf.sources import (
-    install_amt_counters,
-    install_arena_counters,
-    install_graph_counters,
-    install_omp_counters,
-    install_parallel_counters,
-    install_resilience_counters,
-)
 from repro.resilience.plan import ResiliencePlan
+from repro.resilience.recovery import unwrap_physics_aborts
 from repro.serve.errors import JobCancelled, JobTimeout
 from repro.serve.job import JobSpec
-from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 
 __all__ = ["WarmExecutor", "ExecutorPool", "executor_key", "JobOutcome"]
-
-_VARIANTS = {
-    "full": HpxVariant.full,
-    "fig5": HpxVariant.fig5,
-    "fig6": HpxVariant.fig6,
-    "fig7": HpxVariant.fig7,
-}
 
 #: Counter families stripped from cached result payloads: wall-clock
 #: families (nondeterministic across hosts) plus the families whose values
@@ -152,52 +138,35 @@ class WarmExecutor:
         self.costs = costs
         self.jobs_served = 0
         self._lock = threading.Lock()
-        shape = resolved["shape"]
-        knobs = resolved["knobs"]
         self.impl = resolved["impl"]
-        self.execute = resolved["execute"]
-        self.threads = shape["threads"]
+        shape = resolved["shape"]
         self.opts = LuleshOptions(nx=shape["nx"], numReg=shape["numReg"])
-        self.domain = Domain(self.opts) if self.execute else None
-        if self.domain is not None:
-            self.shape = ProblemShape.from_domain(self.domain)
-            self._snapshot = snapshot_state(self.domain)
-        else:
-            self.shape = ProblemShape.from_options(self.opts)
-            self._snapshot = None
-        self.rt: AmtRuntime | None = None
-        self.program = None
-        self.backend = None
-        if self.impl == "hpx":
-            self.rt = AmtRuntime(self.machine, CostModel(), self.threads)
-            self.program = HpxLuleshProgram(
-                self.rt,
-                self.shape,
-                self.costs,
-                nodal_partition=knobs["nodal_partition"],
-                elements_partition=knobs["elements_partition"],
-                domain=self.domain,
-                variant=_VARIANTS[resolved["variant"]](),
-                balanced_partitions=knobs["balanced"],
-                replay_graph=knobs["replay_graph"],
-                backend=knobs["backend"],
-                backend_workers=knobs["workers"],
-            )
-            if knobs["backend"] == "process":
-                from repro.parallel import ParallelHpxBackend
+        self.domain = Domain(self.opts) if resolved["execute"] else None
+        self._snapshot = (
+            snapshot_state(self.domain) if self.domain is not None else None
+        )
+        self.stack = self._build()
 
-                self.backend = ParallelHpxBackend(
-                    self.program, workers=knobs["workers"]
-                )
-        elif self.impl == "naive":
-            self.rt = AmtRuntime(self.machine, CostModel(), self.threads)
-            self.program = NaiveHpxProgram(
-                self.rt, self.shape, self.costs, self.domain,
-                replay_graph=knobs["replay_graph"],
-            )
-        # impl == "omp": the OmpRuntime/program pair is cheap and carries
-        # per-run scheduling state, so it is rebuilt per job; the Domain
-        # (the expensive part) is still kept warm.
+    def _build(self, plan: ResiliencePlan | None = None) -> RunStack:
+        knobs = self.resolved["knobs"]
+        variant = self.resolved["variant"]
+        return build_stack(
+            self.impl, self.opts, self.resolved["shape"]["threads"],
+            self.domain, self.machine, costs=self.costs,
+            variant=HpxVariant.named(variant) if variant else None,
+            nodal_partition=knobs["nodal_partition"],
+            elements_partition=knobs["elements_partition"],
+            balanced_partitions=knobs["balanced"],
+            replay_graph=knobs["replay_graph"],
+            backend=knobs["backend"],
+            backend_workers=knobs["workers"],
+            resilience=plan,
+        )
+
+    @property
+    def backend(self):
+        """The stack's process backend (``None`` on the simulated backend)."""
+        return self.stack.backend
 
     # --- per-job driving ------------------------------------------------------
 
@@ -224,57 +193,68 @@ class WarmExecutor:
                 if spec.inject
                 else None
             )
-            if self.impl == "omp":
-                outcome = self._run_omp_job(spec, registry, plan)
+            self._rewind(flight_recorder, plan)
+            stack, backend = self.stack, self.backend
+            program = stack.program
+            if registry is not None:
+                install_counters(registry, stack, plan)
+            template_was_warm = getattr(program, "_template", None) is not None
+            with unwrap_physics_aborts():
+                self._step_loop(stack.driver, spec.i, cancel_event, deadline)
+            stats = stack.rt.stats
+            wall = backend.stats.wall_ns if backend is not None else 0
+            if registry is not None:
+                registry.sample(stats.total_ns + wall)
+            if backend is not None:
+                # Real-parallel job: the runtime figure is host wall-clock
+                # (the driver's convention for this backend) and the
+                # snapshot keeps only warmth-independent counters.
+                # Task/utilization tallies straddle the sim capture and the
+                # pool (whose per-cycle counts differ), so neither has a
+                # warmth-independent value here.
+                result = self._payload(
+                    stats.total_ns + wall, spec, registry,
+                    n_tasks=None, utilization=None,
+                    skip=SNAPSHOT_SKIP + PROCESS_SNAPSHOT_SKIP,
+                )
             else:
-                outcome = self._run_amt_job(
-                    spec, registry, flight_recorder, plan,
-                    cancel_event, deadline,
+                result = self._payload(
+                    stats.total_ns, spec, registry,
+                    n_tasks=0 if self.impl == "omp" else stats.n_tasks,
+                    utilization=stats.utilization(),
                 )
             self.jobs_served += 1
-            outcome.wall_ns = time.perf_counter_ns() - t0
-            return outcome
+            return JobOutcome(
+                result=result,
+                clean=plan is None and not (
+                    backend is not None and backend.degraded
+                ),
+                wall_ns=time.perf_counter_ns() - t0,
+                template_reused=(
+                    template_was_warm and program.graph_stats.captures == 0
+                ),
+            )
 
     def _rewind(self, flight_recorder, plan) -> None:
-        rt = self.rt
+        """Put the warm stack back at cycle 0 for the next job."""
+        if self.domain is not None:
+            restore_state(self.domain, self._snapshot)
+            self.domain.workspace.stats.reset_tallies()
+        if self.impl == "omp":
+            # The OpenMP runtime and program are cheap and carry per-run
+            # scheduling state, so each job gets new ones over the warm
+            # domain (the expensive part).
+            self.stack = self._build(plan)
+            return
+        rt = self.stack.rt
         rt.reset_stats()
         rt.clear_flush_hooks()
         rt.flight_recorder = flight_recorder
         rt.fault_injector = plan.make_injector() if plan else None
         rt.replay = plan.make_replay() if plan else None
-        self.program.begin_job()
-        if self.domain is not None:
-            restore_state(self.domain, self._snapshot)
-            self.domain.workspace.stats.reset_tallies()
+        self.stack.program.begin_job()
         if self.backend is not None:
             self.backend.begin_job(flight_recorder)
-
-    def _install_counters(self, registry, plan) -> None:
-        if registry is None:
-            return
-        install_amt_counters(registry, self.rt)
-        if self.impl == "hpx":
-            knobs = self.resolved["knobs"]
-            registry.register_gauge(
-                "/hpx/partition-size/nodal",
-                lambda: knobs["nodal_partition"],
-                description="resolved LagrangeNodal partition size for this job",
-            )
-            registry.register_gauge(
-                "/hpx/partition-size/elements",
-                lambda: knobs["elements_partition"],
-                description="resolved LagrangeElements partition size for this job",
-            )
-        if self.domain is not None:
-            install_arena_counters(registry, self.domain)
-        install_graph_counters(registry, self.program.graph_stats)
-        if self.backend is not None:
-            install_parallel_counters(
-                registry, self.backend.stats,
-                supervision=self.backend.supervisor.stats,
-            )
-        if plan is not None:
-            install_resilience_counters(registry, plan.stats)
 
     def _step_loop(self, driver, iterations, cancel_event, deadline) -> None:
         for _ in range(iterations):
@@ -288,86 +268,6 @@ class WarmExecutor:
             if deadline is not None and time.monotonic() > deadline:
                 raise JobTimeout("job exceeded its per-attempt deadline")
             driver.step()
-
-    def _run_amt_job(
-        self, spec, registry, flight_recorder, plan, cancel_event, deadline
-    ) -> JobOutcome:
-        self._rewind(flight_recorder, plan)
-        self._install_counters(registry, plan)
-        template_was_warm = self.program._template is not None
-        driver = self.backend if self.backend is not None else self.program
-        try:
-            self._step_loop(driver, spec.i, cancel_event, deadline)
-        except TaskGroupError as group:
-            cause = group.common_cause(LuleshError)
-            if cause is not None:
-                raise cause from group
-            raise
-        rt = self.rt
-        wall = self.backend.stats.wall_ns if self.backend is not None else 0
-        if registry is not None:
-            registry.sample(rt.stats.total_ns + wall)
-        degraded = self.backend is not None and self.backend.degraded
-        template_reused = (
-            template_was_warm and self.program.graph_stats.captures == 0
-        )
-        if self.backend is not None:
-            # Real-parallel job: the runtime figure is host wall-clock (the
-            # driver's convention for this backend) and the snapshot keeps
-            # only warmth-independent counters.  Task/utilization tallies
-            # straddle the sim capture and the pool (whose per-cycle counts
-            # differ), so neither has a warmth-independent value here.
-            result = self._payload(
-                rt.stats.total_ns + wall, spec, registry,
-                n_tasks=None, utilization=None,
-                skip=SNAPSHOT_SKIP + PROCESS_SNAPSHOT_SKIP,
-            )
-        else:
-            result = self._payload(rt.stats.total_ns, spec, registry,
-                                   n_tasks=rt.stats.n_tasks,
-                                   utilization=rt.stats.utilization())
-        return JobOutcome(
-            result=result,
-            clean=not degraded and plan is None,
-            wall_ns=0,
-            template_reused=template_reused,
-        )
-
-    def _run_omp_job(self, spec, registry, plan) -> JobOutcome:
-        from repro.openmp.runtime import OmpRuntime
-
-        if self.domain is not None:
-            restore_state(self.domain, self._snapshot)
-            self.domain.workspace.stats.reset_tallies()
-        omp = OmpRuntime(
-            self.machine, CostModel(), self.threads,
-            execute_bodies=self.execute,
-        )
-        if plan is not None:
-            omp.fault_injector = plan.make_injector()
-        if registry is not None:
-            install_omp_counters(registry, omp)
-            if self.domain is not None:
-                install_arena_counters(registry, self.domain)
-            if plan is not None:
-                install_resilience_counters(registry, plan.stats)
-        program = OmpLuleshProgram(omp, self.shape, self.costs, self.domain)
-        try:
-            program.run(spec.i)
-        except TaskGroupError as group:
-            cause = group.common_cause(LuleshError)
-            if cause is not None:
-                raise cause from group
-            raise
-        if registry is not None:
-            registry.sample(omp.stats.total_ns)
-        return JobOutcome(
-            result=self._payload(omp.stats.total_ns, spec, registry,
-                                 utilization=omp.stats.utilization()),
-            clean=plan is None,
-            wall_ns=0,
-            template_reused=False,
-        )
 
     def _payload(self, runtime_ns, spec, registry, n_tasks=0,
                  utilization=0.0, skip=SNAPSHOT_SKIP) -> dict:
@@ -391,9 +291,7 @@ class WarmExecutor:
 
     def close(self) -> None:
         """Release the backend worker pool (idempotent)."""
-        if self.backend is not None:
-            self.backend.close()
-            self.backend = None
+        self.stack.close()
 
 
 class ExecutorPool:

@@ -21,12 +21,12 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.core.hpx_lulesh import HpxVariant
 from repro.serve.errors import SweepSpecError
 
 __all__ = ["JobSpec", "JobRecord", "expand_sweep", "parse_sweep", "load_sweep_file"]
 
 _IMPLS = ("hpx", "naive", "omp")
-_VARIANTS = ("full", "fig5", "fig6", "fig7")
 _BACKENDS = ("sim", "process")
 
 #: JobSpec fields that steer scheduling only (never part of the fingerprint).
@@ -89,9 +89,9 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.impl not in _IMPLS:
             raise SweepSpecError(f"impl must be one of {_IMPLS}, got {self.impl!r}")
-        if self.variant not in _VARIANTS:
+        if self.variant not in HpxVariant.NAMES:
             raise SweepSpecError(
-                f"variant must be one of {_VARIANTS}, got {self.variant!r}"
+                f"variant must be one of {HpxVariant.NAMES}, got {self.variant!r}"
             )
         if self.backend not in _BACKENDS:
             raise SweepSpecError(

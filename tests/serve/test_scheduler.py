@@ -144,8 +144,11 @@ class TestFailureHandling:
         assert record.attempts == 3
         assert sched.stats.retried == 2
 
-    def test_timeout_marks_job_after_retries(self):
-        doomed = dataclasses.replace(BASE, timeout_s=0.0, max_retries=1)
+    @pytest.mark.parametrize("impl", ["hpx", "naive", "omp"])
+    def test_timeout_marks_job_after_retries(self, impl):
+        doomed = dataclasses.replace(
+            BASE, impl=impl, timeout_s=0.0, max_retries=1
+        )
         with CampaignScheduler(cache=None) as sched:
             (record,) = sched.run_campaign([doomed])
         assert record.status == "timeout"
