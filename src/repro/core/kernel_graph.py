@@ -252,8 +252,11 @@ class ProblemShape:
     def from_options(cls, opts: LuleshOptions) -> "ProblemShape":
         """Build the shape without allocating field arrays.
 
-        Region assignment runs for real (it is cheap and determines the
-        load-imbalance structure); mesh fields are not allocated.
+        Region assignment runs for real, because it determines the
+        load-imbalance structure; mesh fields are not allocated.  The
+        assignment draws one random run per ~40 elements on average, so
+        its cost is linear in the element count and, at large sizes, a
+        visible share of a timing-only run.
         """
         regions = RegionSet(
             num_elem=opts.numElem,

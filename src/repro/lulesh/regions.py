@@ -17,6 +17,9 @@ regions, and increases it even by twenty times for 5%").
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from repro.util.rng import Lcg
@@ -34,24 +37,6 @@ def region_rep(r: int, num_reg: int, cost: int = 1) -> int:
     if r < num_reg - (num_reg + 15) // 20:
         return 1 + cost
     return 10 * (1 + cost)
-
-
-def _run_length(rng: Lcg) -> int:
-    """Length of the next assignment run (reference bin table)."""
-    bin_size = rng.next_in_range(1000)
-    if bin_size < 773:
-        return rng.next_in_range(15) + 1
-    if bin_size < 937:
-        return rng.next_in_range(16) + 16
-    if bin_size < 970:
-        return rng.next_in_range(32) + 32
-    if bin_size < 974:
-        return rng.next_in_range(64) + 64
-    if bin_size < 978:
-        return rng.next_in_range(128) + 128
-    if bin_size < 981:
-        return rng.next_in_range(256) + 256
-    return rng.next_in_range(1537) + 512
 
 
 class RegionSet:
@@ -82,12 +67,10 @@ class RegionSet:
             raise ValueError(f"balance must be >= 1, got {balance}")
         self.num_reg = num_reg
         self.cost = cost
-        self.reg_num_list = np.empty(num_elem, dtype=np.int64)
-
         if num_reg == 1:
-            self.reg_num_list.fill(1)
+            self.reg_num_list = np.ones(num_elem, dtype=np.int64)
         else:
-            self._assign(num_elem, num_reg, balance, seed)
+            self.reg_num_list = self._assign(num_elem, num_reg, balance, seed)
 
         self.reg_elem_lists: list[np.ndarray] = []
         for r in range(num_reg):
@@ -98,27 +81,51 @@ class RegionSet:
             [len(lst) for lst in self.reg_elem_lists], dtype=np.int64
         )
 
-    def _assign(self, num_elem: int, num_reg: int, balance: int, seed: int) -> None:
-        rng = Lcg(seed)
+    @staticmethod
+    def _assign(num_elem: int, num_reg: int, balance: int, seed: int) -> np.ndarray:
+        """The reference's run-length assignment: 1-based region per element."""
         # Region weights: chance of region i is proportional to (i+1)**balance.
-        reg_bin_end = np.cumsum([(i + 1) ** balance for i in range(num_reg)])
-        cost_denominator = int(reg_bin_end[-1])
+        reg_bin_end = list(accumulate((i + 1) ** balance for i in range(num_reg)))
+        cost_denominator = reg_bin_end[-1]
+        # The Lcg stream drawn as local integers: each draw advances the
+        # state and reduces it like ``Lcg.next_in_range``.
+        a, c, m = Lcg._A, Lcg._C, Lcg._M
+        state = Lcg(seed).state
 
+        regions: list[int] = []
+        lengths: list[int] = []
         next_index = 0
-        last_reg = -1
+        region_num = -1
         while next_index < num_elem:
-            region_var = rng.next_in_range(cost_denominator)
-            i = int(np.searchsorted(reg_bin_end, region_var, side="right"))
-            region_num = (i % num_reg) + 1
-            while region_num == last_reg:
-                region_var = rng.next_in_range(cost_denominator)
-                i = int(np.searchsorted(reg_bin_end, region_var, side="right"))
-                region_num = (i % num_reg) + 1
-            elements = _run_length(rng)
-            run_to = min(next_index + elements, num_elem)
-            self.reg_num_list[next_index:run_to] = region_num
-            next_index = run_to
             last_reg = region_num
+            while region_num == last_reg:
+                state = (a * state + c) % m
+                region_num = bisect_right(reg_bin_end, state % cost_denominator) + 1
+            # Run length from the reference bin table (mostly 1-15 elements,
+            # occasionally up to 2048).
+            state = (a * state + c) % m
+            bin_size = state % 1000
+            state = (a * state + c) % m
+            if bin_size < 773:
+                elements = state % 15 + 1
+            elif bin_size < 937:
+                elements = state % 16 + 16
+            elif bin_size < 970:
+                elements = state % 32 + 32
+            elif bin_size < 974:
+                elements = state % 64 + 64
+            elif bin_size < 978:
+                elements = state % 128 + 128
+            elif bin_size < 981:
+                elements = state % 256 + 256
+            else:
+                elements = state % 1537 + 512
+            regions.append(region_num)
+            lengths.append(elements)
+            next_index += elements
+        # The last run stops at the mesh's end.
+        lengths[-1] -= next_index - num_elem
+        return np.repeat(np.array(regions, dtype=np.int64), lengths)
 
     # --- decomposition -------------------------------------------------------
 

@@ -23,6 +23,16 @@ mechanics the paper relies on:
 The simulation is a pure function of its inputs: integer-ns virtual time,
 insertion-ordered event ties, and deterministic victim scan order.
 
+Steal probes are accounted in bulk.  A thief probes victims in rotation
+from ``worker+1`` and every probe costs the same scaled constant, so the
+pool keeps a bitmask of non-empty queues, finds the rotation's first
+non-empty victim with one lowest-set-bit operation, and charges the ``k``
+failed probes before it as ``k`` times the rounded probe cost — the same
+sum as ``k`` separately rounded probes.  ``WorkerTrace.steal_attempts`` and
+``steals`` are updated once per acquire with the same totals a probe-by-
+probe scan would count; when every queue is empty the thief is charged its
+``n_workers - 1`` probes without a loop.
+
 Task bodies, when present, are executed at dispatch time in virtual-time
 order — which is a valid linearization of the dependency graph — so "real
 physics" runs produce exactly the same field updates a parallel execution
@@ -214,6 +224,20 @@ class SimWorkerPool:
         self._speeds = [
             machine.worker_speed(w, n_workers) for w in range(n_workers)
         ]
+        # The cost model is frozen and speeds are fixed, so the per-worker
+        # charges every run pays over and over are scaled once, here.
+        workers = range(n_workers)
+        cm = cost_model
+        self._spawn_ns = [self._scale(cm.task_spawn_ns, w) for w in workers]
+        self._schedule_ns = [self._scale(cm.task_schedule_ns, w) for w in workers]
+        self._probe_ns = [self._scale(cm.steal_attempt_ns, w) for w in workers]
+        # Migrating one stolen task and dispatching it.
+        self._steal_one_ns = [
+            self._scale(cm.steal_success_ns + cm.task_schedule_ns, w)
+            for w in workers
+        ]
+        # Retiring a task with no dependents (no join bookkeeping).
+        self._retire_ns = [self._scale(cm.task_complete_ns, w) for w in workers]
 
     # --- helpers -------------------------------------------------------------
 
@@ -251,15 +275,25 @@ class SimWorkerPool:
             )
 
         cm = self.cost_model
-        trace = TraceRecorder(self.n_workers, self.record_spans)
+        n_workers = self.n_workers
+        scale = self._scale
+        schedule_ns = self._schedule_ns
+        probe_ns = self._probe_ns
+        steal_one_ns = self._steal_one_ns
+        retire_ns = self._retire_ns
+        record_spans = self.record_spans
+        trace = TraceRecorder(n_workers, record_spans)
+        worker_traces = trace.workers
         events = EventQueue()
         queues: list[WorkQueue] = [
-            WorkQueue(self.policy) for _ in range(self.n_workers)
+            WorkQueue(self.policy) for _ in range(n_workers)
         ]
-        # Workers not currently executing or spawning.  Sorted wake order is
-        # enforced by scanning worker ids, which is deterministic.
-        idle: set[int] = set(range(self.n_workers))
-        idle.discard(spawn_worker)
+        # Bit w of ``nonempty`` is set iff queues[w] holds a task; bit w of
+        # ``idle`` iff worker w is neither executing nor spawning.  The
+        # lowest set bit at or after a position is one integer operation,
+        # which is what makes the steal scan and the wake-up O(1).
+        nonempty = 0
+        idle = ((1 << n_workers) - 1) & ~(1 << spawn_worker)
 
         for task in task_list:
             if task.state != _CREATED:
@@ -269,9 +303,12 @@ class SimWorkerPool:
 
         # Release schedule: spawn costs accumulate serially on spawn_worker.
         t = 0
+        default_spawn = self._spawn_ns[spawn_worker]
         for task in task_list:
-            spawn_ns = task.spawn_ns if task.spawn_ns is not None else cm.task_spawn_ns
-            t += self._scale(spawn_ns, spawn_worker)
+            if task.spawn_ns is None:
+                t += default_spawn
+            else:
+                t += scale(task.spawn_ns, spawn_worker)
             events.push(t, (_EV_RELEASE, task))
         spawn_total_ns = t
         trace.add_spawn(spawn_worker, spawn_total_ns)
@@ -280,52 +317,67 @@ class SimWorkerPool:
         remaining = len(task_list)
         makespan = 0
 
-        def acquire(worker: int, now: int) -> tuple[SimTask | None, int]:
+        def acquire(worker: int) -> tuple[SimTask | None, int]:
             """Try to obtain a task for *worker*; returns (task, overhead)."""
-            overhead = 0
+            nonlocal nonempty
+            bit = 1 << worker
             q = queues[worker]
-            if len(q):
+            if nonempty & bit:
                 task = q.pop_local()
-                overhead += self._scale(cm.task_schedule_ns, worker)
-                return task, overhead
-            # Steal scan: deterministic rotation starting at worker+1.
-            for step in range(1, self.n_workers):
-                victim = (worker + step) % self.n_workers
-                overhead += self._scale(cm.steal_attempt_ns, worker)
-                vq = queues[victim]
-                if len(vq):
-                    stolen = vq.steal()
-                    # Migration cost per stolen task; extras land on the
-                    # thief's own queue (Cilk-style steal-half).
-                    overhead += self._scale(
-                        cm.steal_success_ns * len(stolen) + cm.task_schedule_ns,
-                        worker,
-                    )
-                    for extra in stolen[1:]:
-                        q.push(extra)
-                    trace.add_steal(worker, True)
-                    return stolen[0], overhead
-                trace.add_steal(worker, False)
-            return None, overhead
+                if not len(q):
+                    nonempty ^= bit
+                return task, schedule_ns[worker]
+            # Steal scan: deterministic rotation starting at worker+1.  Every
+            # probe costs the same, so the k failed probes before the first
+            # non-empty victim are charged and counted in one step.
+            wt = worker_traces[worker]
+            if not nonempty:
+                wt.steal_attempts += n_workers - 1
+                return None, (n_workers - 1) * probe_ns[worker]
+            after = nonempty >> (worker + 1)
+            if after:
+                victim = worker + (after & -after).bit_length()
+            else:
+                victim = (nonempty & -nonempty).bit_length() - 1
+            probes = (victim - worker) % n_workers
+            vq = queues[victim]
+            stolen = vq.steal()
+            if not len(vq):
+                nonempty ^= 1 << victim
+            # Migration cost per stolen task; extras land on the thief's own
+            # queue (Cilk-style steal-half).
+            if len(stolen) == 1:
+                migrate = steal_one_ns[worker]
+            else:
+                migrate = scale(
+                    cm.steal_success_ns * len(stolen) + cm.task_schedule_ns,
+                    worker,
+                )
+                for extra in stolen[1:]:
+                    q.push(extra)
+                nonempty |= bit
+            wt.steal_attempts += probes
+            wt.steals += 1
+            return stolen[0], probes * probe_ns[worker] + migrate
 
         def dispatch(worker: int, task: SimTask, now: int, overhead: int) -> None:
             """Start *task* on *worker* at *now* after *overhead* ns."""
-            nonlocal makespan
             if task.pending != 0 or not task.released:
                 raise AssertionError(
                     f"dispatching task {task.tag!r} with pending deps"
                 )
             task.state = _RUNNING
-            trace.add_overhead(worker, overhead)
+            wt = worker_traces[worker]
+            wt.overhead_ns += overhead
             if execute_bodies and task.body is not None:
                 task.body()
-            busy = self._scale(task.cost_ns, worker)
-            trace.add_busy(worker, busy)
+            busy = scale(task.cost_ns, worker)
+            wt.busy_ns += busy
             start = now + overhead
             end = start + busy
             parents = (
                 tuple(p.task_id for p in task.parents)
-                if self.record_spans
+                if record_spans
                 else ()
             )
             trace.add_task(worker, task.task_id, task.tag, start, end, parents)
@@ -333,26 +385,28 @@ class SimWorkerPool:
 
         def seek_work(worker: int, now: int) -> None:
             """Worker looks for its next task or goes idle."""
-            task, overhead = acquire(worker, now)
+            nonlocal idle
+            task, overhead = acquire(worker)
             if task is not None:
                 dispatch(worker, task, now, overhead)
             else:
-                trace.add_overhead(worker, overhead)
-                idle.add(worker)
+                worker_traces[worker].overhead_ns += overhead
+                idle |= 1 << worker
 
         def make_ready(task: SimTask, home: int, now: int) -> None:
             """Queue a ready task and wake an idle worker if any."""
+            nonlocal nonempty, idle
             task.state = _READY
             queues[home].push(task)
+            nonempty |= 1 << home
             if not idle:
                 return
             # Prefer the queue's owner, then the lowest idle worker id.
-            if home in idle:
-                chosen = home
-            else:
-                chosen = min(idle)
-            idle.discard(chosen)
-            seek_work(chosen, now)
+            chosen = 1 << home
+            if not idle & chosen:
+                chosen = idle & -idle
+            idle ^= chosen
+            seek_work(chosen.bit_length() - 1, now)
 
         while events:
             now, payload = events.pop()
@@ -370,16 +424,19 @@ class SimWorkerPool:
                 task.state = _DONE
                 task.finish_ns = now
                 remaining -= 1
-                makespan = max(makespan, now)
-                retire = self._scale(
-                    cm.task_complete_ns
-                    + cm.barrier_join_ns * len(task.dependents),
-                    worker,
-                )
-                trace.add_overhead(worker, retire)
+                dependents = task.dependents
+                if dependents:
+                    retire = scale(
+                        cm.task_complete_ns
+                        + cm.barrier_join_ns * len(dependents),
+                        worker,
+                    )
+                else:
+                    retire = retire_ns[worker]
+                worker_traces[worker].overhead_ns += retire
                 done_at = now + retire
                 makespan = max(makespan, done_at)
-                for dep in task.dependents:
+                for dep in dependents:
                     dep.pending -= 1
                     if dep.pending == 0 and dep.released:
                         # Hot continuation: stays on the completing worker's

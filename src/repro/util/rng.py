@@ -1,11 +1,10 @@
 """Deterministic pseudo-random number generation.
 
 LULESH 2.0 builds its region index sets with the C library ``rand()`` seeded
-with ``srand(0)``.  To make the reproduction deterministic across Python
-versions and platforms we implement the exact glibc-compatible behaviour is
-not required — only that the *same* stream is produced on every run — so we
-use a small, well-understood LCG (the classic BSD/ANSI-C parameters) with an
-explicit seed.
+with ``srand(0)``.  The reproduction does not need glibc's exact stream,
+only the *same* stream on every run, Python version and platform, so it
+uses a small, well-understood LCG (the classic BSD/ANSI-C parameters) with
+an explicit seed.
 """
 
 from __future__ import annotations
