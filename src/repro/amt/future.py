@@ -39,6 +39,7 @@ class Future:
         "_exception",
         "_has_value",
         "_retrieved",
+        "_failed_tag",
     )
 
     def __init__(self, runtime: "AmtRuntime", task: SimTask) -> None:
@@ -48,6 +49,7 @@ class Future:
         self._exception: BaseException | None = None
         self._has_value = False
         self._retrieved = False
+        self._failed_tag: str | None = None
 
     # --- runtime-internal ---------------------------------------------------
 
@@ -60,10 +62,17 @@ class Future:
         self._value = value
         self._has_value = True
 
-    def _set_exception(self, exc: BaseException) -> None:
-        """Store *exc* as this future's outcome (``set_exception``)."""
+    def _set_exception(
+        self, exc: BaseException, failed_tag: str | None = None
+    ) -> None:
+        """Store *exc* as this future's outcome (``set_exception``).
+
+        *failed_tag* names the task whose body raised *exc* when that is
+        not this future's own task (a short-circuit passing it on).
+        """
         self._exception = exc
         self._has_value = True
+        self._failed_tag = self._task.tag if failed_tag is None else failed_tag
 
     def _reset_for_replay(self) -> None:
         """Clear the stored outcome so a captured graph can refill it.
@@ -78,6 +87,7 @@ class Future:
         self._exception = None
         self._has_value = False
         self._retrieved = False
+        self._failed_tag = None
 
     # --- HPX-like public surface ----------------------------------------------
 
@@ -88,6 +98,15 @@ class Future:
     def has_exception(self) -> bool:
         """True if the task executed and its body raised."""
         return self._exception is not None
+
+    @property
+    def failed_tag(self) -> str | None:
+        """Tag of the task whose body raised the stored exception.
+
+        This future's own, or the root a short-circuit passed on; ``None``
+        while there is no exception.
+        """
+        return self._failed_tag
 
     def exception_nowait(self) -> BaseException | None:
         """Non-consuming peek at the stored exception (``None`` if ok).

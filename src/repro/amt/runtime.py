@@ -23,9 +23,12 @@ Failure semantics (HPX exception propagation):
 * an exception raised by a task body is **stored on the task's future**
   instead of escaping the worker pool; ``get`` re-raises it;
 * a continuation over a failed future **short-circuits**: its body never
-  runs and its future carries the predecessor's exception unchanged;
+  runs and its future carries the predecessor's exception unchanged,
+  together with the tag of the task that raised it
+  (:attr:`Future.failed_tag <repro.amt.future.Future.failed_tag>`);
 * ``when_all`` over failed inputs fails with a
-  :class:`~repro.amt.errors.TaskGroupError` naming every failed task tag
+  :class:`~repro.amt.errors.TaskGroupError` naming the tag of every task
+  whose body raised, however far down a chain the failure was passed on
   (``dataflow``, built on ``when_all``, short-circuits the same way);
 * the rest of the graph is unaffected — sibling tasks with no dependency on
   the failed one execute normally, and a failed task's simulated cost is
@@ -275,9 +278,9 @@ class AmtRuntime:
         run = self._bind_body(fut, task, lambda: fn(*args), idempotent)
 
         def body() -> None:
-            exc = _first_failure(depends)
-            if exc is not None:
-                fut._set_exception(exc)
+            failed = _first_failed(depends)
+            if failed is not None:
+                fut._set_exception(failed.exception_nowait(), failed.failed_tag)
                 return
             run()
 
@@ -317,7 +320,7 @@ class AmtRuntime:
         def body() -> None:
             exc = parent.exception_nowait()
             if exc is not None:
-                fut._set_exception(exc)
+                fut._set_exception(exc, parent.failed_tag)
                 return
             run()
 
@@ -342,7 +345,7 @@ class AmtRuntime:
 
         def body() -> None:
             failed = [
-                (f.task.tag, f.exception_nowait())
+                (f.failed_tag, f.exception_nowait())
                 for f in futures
                 if f.has_exception()
             ]
@@ -435,7 +438,7 @@ class AmtRuntime:
                 )
             exc = f.exception_nowait()
             if exc is not None:
-                failed.append((f.task.tag, exc))
+                failed.append((f.failed_tag, exc))
         if rethrow and failed:
             if len(failed) == 1 and not isinstance(failed[0][1], TaskGroupError):
                 raise failed[0][1]
@@ -604,10 +607,9 @@ class AmtRuntime:
         return len(self._pending)
 
 
-def _first_failure(futures: Sequence[Future]) -> BaseException | None:
-    """The first stored exception among *futures* (``None`` if all ok)."""
+def _first_failed(futures: Sequence[Future]) -> Future | None:
+    """The first failed future among *futures* (``None`` if all ok)."""
     for f in futures:
-        exc = f.exception_nowait()
-        if exc is not None:
-            return exc
+        if f.exception_nowait() is not None:
+            return f
     return None

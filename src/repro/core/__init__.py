@@ -1,21 +1,26 @@
 """The paper's contribution: many-task LULESH orchestration.
 
-Three orchestrations of the *same* LULESH kernels:
+Three orchestrations of the *same* LULESH kernels, declared once in
+:mod:`~repro.core.kernel_graph` (the kernel table ``KERNELS`` and the
+reference's loop sequence ``REFERENCE_LOOPS``):
 
-* :mod:`~repro.core.omp_lulesh` — the OpenMP reference structure: a parallel
-  region per kernel group, a ``parallel for`` + implicit barrier per loop,
-  EOS evaluated region-by-region in many small loops;
+* :mod:`~repro.core.omp_lulesh` — the OpenMP reference structure: the loop
+  sequence as a parallel region per kernel group, a ``parallel for`` +
+  implicit barrier per loop, EOS evaluated region-by-region in many small
+  loops;
 * :mod:`~repro.core.hpx_lulesh` — the paper's HPX-native task graph: manual
   partitioning into tasks, per-partition continuation chains, consecutive
   loops combined into tasks, independent chains (stress ∥ hourglass,
-  region ∥ region) executed concurrently, seven ``when_all`` barriers per
+  region ∥ region) executed concurrently, seven synchronization points per
   leapfrog iteration, the whole graph pre-created up front;
-* :mod:`~repro.core.naive_hpx` — the prior-work port [16]: every loop
-  replaced 1:1 by a blocking ``hpx::for_each``, shown slower than OpenMP.
+* :mod:`~repro.core.naive_hpx` — the prior-work port [16]: the same loop
+  sequence with every loop replaced 1:1 by a blocking ``hpx::for_each``,
+  shown slower than OpenMP.
 
-:mod:`~repro.core.hpx_lulesh` exposes the optimization ladder of the paper's
-Figs. 5-8 as :class:`~repro.core.hpx_lulesh.HpxVariant` flags, so the
-ablation bench can quantify each trick separately.
+:mod:`~repro.core.hpx_lulesh` declares its iteration once, as a phase
+table, and exposes the optimization ladder of the paper's Figs. 5-8 as
+:class:`~repro.core.hpx_lulesh.HpxVariant` flags: rewrites of that table,
+so the ablation bench can quantify each trick separately.
 
 :mod:`~repro.core.driver` runs any orchestration in two modes: *execute*
 (real NumPy physics, used to verify bit-identical results against the

@@ -2,25 +2,35 @@
 
 One leapfrog iteration is pre-created as a single task graph (§IV: "we
 pre-create *all* tasks for one iteration of the leapfrog algorithm at
-once"), built from four ingredients, each switchable for the ablation bench
-via :class:`HpxVariant`:
+once").  The iteration is declared once, as a phase table
+(:data:`_PHASES`): for each phase, its chains (tag and kernel groups), its
+item domain, its partition knob and the barrier closing it, followed by
+the serial BC point, the per-region chains and the final constraint
+reduction.  :meth:`HpxLuleshProgram.build_iteration` walks that table and
+applies the paper's four ingredients as independent rewrites of it, each
+switchable for the ablation bench via :class:`HpxVariant`:
 
-1. **Manual partitioning** (Fig. 5): every kernel loop is split into tasks
-   of ``P`` elements/nodes, ``P`` from Table I
-   (:mod:`repro.core.partitioning`).
-2. **Continuation chains** (Fig. 6): consecutive kernels with only
-   per-item dependencies are chained per partition with ``future.then``;
-   global ``when_all`` barriers remain only at the seven points where
-   dependencies cross partitions (element→node transitions, symmetry-plane
-   BCs, face-neighbour reads in monotonic Q, region↔partition mismatches,
-   and the final constraint reduction).
-3. **Loop combining** (Fig. 7): consecutive kernels in a chain are merged
-   into one task — the loops stay separate *inside* the task, preserving
-   LULESH's computational structure.
-4. **Independent chains** (Fig. 8): the stress-force and hourglass-force
-   chains run concurrently, as do the per-region EOS chains (which are
-   further partitioned — "the number of tasks in our implementation remains
-   similar, as we use a fixed partitioning size", §V-A).
+1. **Manual partitioning** (Fig. 5): every phase is split into tasks of
+   ``P`` elements/nodes, ``P`` from Table I
+   (:mod:`repro.core.partitioning`).  Without the next rewrite, each
+   kernel is its own partitioned loop closed by a blocking ``wait_all``.
+2. **Continuation chains** (``chain_kernels``, Fig. 6): a phase's kernels
+   are chained per partition with ``future.then``; global ``when_all``
+   barriers remain only at the seven points where dependencies cross
+   partitions (element→node transitions, symmetry-plane BCs,
+   face-neighbour reads in monotonic Q, region↔partition mismatches, and
+   the final constraint reduction).
+3. **Loop combining** (``combine_loops``, Fig. 7): each kernel group of a
+   chain becomes one task — the loops stay separate *inside* the task,
+   preserving LULESH's computational structure.
+4. **Independent chains** (``parallel_chains``, Fig. 8): the chains of one
+   phase (stress-force and hourglass-force) run concurrently, as do the
+   per-region EOS chains (which are further partitioned — "the number of
+   tasks in our implementation remains similar, as we use a fixed
+   partitioning size", §V-A) instead of one region after another.
+
+A fifth, beyond the paper, gives the expensive EOS regions high scheduler
+priority (``prioritize_expensive_regions``).
 
 Temporaries are task-local by default (the jemalloc/data-locality trick);
 the allocator model charges the alternative global-scratch strategy with
@@ -43,7 +53,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 from repro.amt.future import Future
 from repro.amt.graph import GraphStats, GraphTemplate
@@ -56,7 +66,7 @@ from repro.core.kernel_graph import (
     execute_spec,
     spec_is_idempotent,
 )
-from repro.core.partitioning import partition_ranges
+from repro.core.partitioning import partition_layout
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
 from repro.lulesh.kernels.constraints import (
@@ -138,16 +148,57 @@ def _group_names(
     return tuple(k.name for k in group), "+".join(k.label(rep) for k in group)
 
 
-# The kernel groups each phase chains per partition, in chain order.
-_STRESS = _kernels("init_stress", "integrate_stress")
-_HOURGLASS = _kernels("hg_control", "fb_hourglass")
-_NODESUM = _kernels("zero_forces", "sum_forces", "acceleration")
-_VELPOS = _kernels("velocity", "position")
-_KINEMATICS = _kernels("kinematics", "strain_rates", "monoq_gradients")
-_PROLOGUE = _kernels("material_prologue", "qstop_check", "update_volumes")
+class _Phase(NamedTuple):
+    """One partitioned phase of the iteration: a row of :data:`_PHASES`.
+
+    ``chains`` are ``(chain tag, kernel group)`` pairs in chain order; each
+    partition runs them one after another (concurrently under Fig. 8).
+    ``elements`` picks the item domain (elements, else nodes), ``nodal``
+    the partition knob (LagrangeNodal ``P``, else LagrangeElements ``P``),
+    and ``barrier`` tags the ``when_all`` closing the phase.  ``serial_bc``
+    runs the serial symmetry-plane BC after that barrier.  Without chains
+    (Fig. 5) each kernel is one partitioned loop with a blocking flush, or
+    each chain is when ``per_kernel`` is false.
+    """
+
+    chains: tuple[tuple[str, tuple[Kernel, ...]], ...]
+    elements: bool
+    nodal: bool
+    barrier: str
+    serial_bc: bool = False
+    per_kernel: bool = True
+
+    def unchained_loops(self) -> tuple[tuple[str, tuple[Kernel, ...]], ...]:
+        """Fig. 5's loops: ``(tag, kernel group)``, each flushed."""
+        if not self.per_kernel:
+            return self.chains
+        return tuple(("k", (k,)) for _, group in self.chains for k in group)
+
+
+#: The iteration before its region chains and final reduce, in order.
+_PHASES = (
+    _Phase((("stress", _kernels("init_stress", "integrate_stress")),
+            ("hg", _kernels("hg_control", "fb_hourglass"))),
+           elements=True, nodal=True, barrier="B1:forces"),
+    _Phase((("node", _kernels("zero_forces", "sum_forces", "acceleration")),),
+           elements=False, nodal=True, barrier="B2:accel", serial_bc=True),
+    _Phase((("velpos", _kernels("velocity", "position")),),
+           elements=False, nodal=True, barrier="B4:positions"),
+    _Phase((("kin", _kernels("kinematics", "strain_rates",
+                             "monoq_gradients")),),
+           elements=True, nodal=False, barrier="B5:gradients"),
+    _Phase((("prologue", _kernels("material_prologue", "qstop_check",
+                                  "update_volumes")),),
+           elements=True, nodal=False, barrier="B6:prologue",
+           per_kernel=False),
+)
+# Per region partition: monoq -> EOS(xrep), then the constraint task.
 _REGION = _kernels("monoq_region", "eos")
 _CONSTRAINTS = _kernels("courant", "hydro")
+_CONSTRAINT_NAMES = tuple(k.name for k in _CONSTRAINTS)
 _BC = KERNELS["accel_bc"]
+_BC_SPEC = TaskSpec("bc", (_BC.name,))
+_REDUCE_SPEC = TaskSpec("reduce")
 
 
 class LeapfrogProgram:
@@ -362,17 +413,8 @@ class HpxLuleshProgram(GraphCycleProgram):
         # backend.
         self.backend = backend
         self.backend_workers = backend_workers
-        # Counted by build_iteration; a replayed cycle keeps the count of
-        # the build it captured.
-        self.barriers_per_iteration = 0
         if domain is not None:
             domain.configure_workspace(variant.task_local_temporaries)
-
-    def _ranges(self, n_items: int, partition_size: int):
-        """Partition layout for one phase (honours the balanced-split knob)."""
-        return partition_ranges(
-            n_items, partition_size, balanced=self.balanced_partitions
-        )
 
     # --- task costing ---------------------------------------------------------
 
@@ -457,183 +499,124 @@ class HpxLuleshProgram(GraphCycleProgram):
         assert fut is not None
         return fut
 
-    def _barrier(self, futures: Sequence[Future], tag: str) -> Future:
-        self.barriers_per_iteration += 1
-        return self.rt.when_all(futures, tag=tag)
-
     # --- one iteration -----------------------------------------------------------
 
     def build_iteration(self) -> Future:
         """Pre-create the full task graph for one leapfrog iteration.
 
-        Returns the iteration-final future (the constraint reduction).  With
-        ``chain_kernels=False`` this *executes* blocking barriers along the
-        way (Fig. 5 semantics) and the returned future is already complete
-        after the final flush.
+        Walks :data:`_PHASES`, then the region chains and the final
+        reduction, which is returned.  With ``chain_kernels=False`` this
+        *executes* blocking barriers along the way (Fig. 5 semantics) and
+        the returned future is already complete after the final flush.
         """
-        self.barriers_per_iteration = 0
-        c = self.costs
-        d = self.domain
-        shape = self.shape
-        ne, nn = shape.num_elem, shape.num_node
-        pn = self.nodal_partition
-        pe = self.elements_partition
-        chain = self.variant.chain_kernels
-        parallel = self.variant.parallel_chains
-
-        bc_cost = int(round(3 * _BC.rate_ns(c) * shape.num_symm_nodes))
-        bc_spec = TaskSpec("bc", (_BC.name,))
-
-        def flush_if_unchained(futures: Sequence[Future], tag: str) -> list[Future]:
-            """Fig. 5 semantics: blocking wait_all after every kernel group."""
-            self.barriers_per_iteration += 1
-            self.rt.wait_all(futures)
-            return []
-
-        # ---- Phase 1: element force chains -> B1 ---------------------------------
-        force_finals: list[Future] = []
-        if chain:
-            for lo, hi in self._ranges(ne, pn):
-                f_stress = self._chain(_STRESS, lo, hi, (), "stress")
-                if parallel:
-                    f_hg = self._chain(_HOURGLASS, lo, hi, (), "hg")
-                else:
-                    f_hg = self._chain(_HOURGLASS, lo, hi, (f_stress,), "hg")
-                force_finals += [f_stress, f_hg]
-            b1 = self._barrier(force_finals, "B1:forces")
-            node_dep: Sequence[Future] = (b1,)
-        else:
-            for kern in (*_STRESS, *_HOURGLASS):
-                futs = [
-                    self._chain([kern], lo, hi, (), "k", reuse_items=ne)
-                    for lo, hi in self._ranges(ne, pn)
-                ]
-                flush_if_unchained(futs, kern.name)
-            node_dep = ()
-
-        # ---- Phase 2: node sum/accel -> B2 -> BC -> vel/pos -> B4 -----------------
-        if chain:
-            node_finals = [
-                self._chain(_NODESUM, lo, hi, node_dep, "node")
-                for lo, hi in self._ranges(nn, pn)
-            ]
-            b2 = self._barrier(node_finals, "B2:accel")
-            bc = self.rt.continuation(
-                b2,
-                _spec_body(d, bc_spec),
-                cost_ns=bc_cost,
-                tag="accel_bc",
-                spec=bc_spec,
-            )
-            velpos_finals = [
-                self._chain(_VELPOS, lo, hi, (bc,), "velpos")
-                for lo, hi in self._ranges(nn, pn)
-            ]
-            b4 = self._barrier(velpos_finals, "B4:positions")
-            elem_dep: Sequence[Future] = (b4,)
-        else:
-            for kern in _NODESUM:
-                futs = [
-                    self._chain([kern], lo, hi, (), "k", reuse_items=nn)
-                    for lo, hi in self._ranges(nn, pn)
-                ]
-                flush_if_unchained(futs, kern.name)
-            bc = self.rt.async_(
-                _spec_body(d, bc_spec),
-                cost_ns=bc_cost,
-                tag="accel_bc",
-                spec=bc_spec,
-            )
-            flush_if_unchained([bc], "bc")
-            for kern in _VELPOS:
-                futs = [
-                    self._chain([kern], lo, hi, (), "k", reuse_items=nn)
-                    for lo, hi in self._ranges(nn, pn)
-                ]
-                flush_if_unchained(futs, kern.name)
-            elem_dep = ()
-
-        # ---- Phase 3: kinematics/gradients chains -> B5 ------------------------------
-        if chain:
-            kin_finals = [
-                self._chain(_KINEMATICS, lo, hi, elem_dep, "kin")
-                for lo, hi in self._ranges(ne, pe)
-            ]
-            b5 = self._barrier(kin_finals, "B5:gradients")
-            region_dep: Sequence[Future] = (b5,)
-        else:
-            for kern in _KINEMATICS:
-                futs = [
-                    self._chain([kern], lo, hi, (), "k", reuse_items=ne)
-                    for lo, hi in self._ranges(ne, pe)
-                ]
-                flush_if_unchained(futs, kern.name)
-            region_dep = ()
-
-        # ---- Phase 4: prologue/update_volumes + per-region chains -> B6 --------------
-        constraint_futs: list[Future] = []
-        if chain:
-            prologue_finals = [
-                self._chain(_PROLOGUE, lo, hi, region_dep, "prologue")
-                for lo, hi in self._ranges(ne, pe)
-            ]
-            # Region EOS gathers cross partition boundaries (region element
-            # lists are scattered), so the region chains wait on all
-            # prologue partitions via one barrier.
-            b6 = self._barrier(prologue_finals, "B6:prologue")
-            # Without the Fig.-8 insight, regions run one after another (the
-            # reference's call order): each region's chains wait for the
-            # previous *region* to finish, but partitions within a region
-            # still run in parallel.
-            prev_region_gate: Future | None = None
-            for r in range(shape.num_regions):
-                size = shape.region_sizes[r]
-                rep = shape.region_reps[r]
-                region_chain_dep: list[Future] = [b6]
-                if not parallel and prev_region_gate is not None:
-                    region_chain_dep.append(prev_region_gate)
-                region_futs = [
-                    self._region_chain(r, rep, lo, hi, region_chain_dep)
-                    for lo, hi in self._ranges(size, pe)
-                ]
-                constraint_futs += region_futs
-                if not parallel:
-                    prev_region_gate = self.rt.when_all(
-                        region_futs, tag=f"region_gate[{r}]"
-                    )
-            b6_inputs = constraint_futs
-        else:
-            futs = [
-                self._chain(_PROLOGUE, lo, hi, (), "prologue", reuse_items=ne)
-                for lo, hi in self._ranges(ne, pe)
-            ]
-            flush_if_unchained(futs, "prologue")
-            for r in range(shape.num_regions):
-                size = shape.region_sizes[r]
-                rep = shape.region_reps[r]
-                futs = [
-                    self._region_chain(r, rep, lo, hi, ())
-                    for lo, hi in self._ranges(size, pe)
-                ]
-                constraint_futs += futs
-                flush_if_unchained(futs, f"region[{r}]")
-            b6_inputs = constraint_futs
-
-        # ---- Final reduction (B7) ------------------------------------------------
-        self.barriers_per_iteration += 1
-        final = self.rt.dataflow(
-            _reduce_body(d, constraint_futs),
-            b6_inputs,
-            cost_ns=2_000,
-            tag="reduce_dt",
-            spec=TaskSpec("reduce"),
+        dep: tuple[Future, ...] = ()
+        for phase in _PHASES:
+            dep = self._phase(phase, dep)
+            if phase.serial_bc:
+                dep = self._bc(dep)
+        partials = self._regions(dep)
+        return self.rt.dataflow(
+            _reduce_body(self.domain, partials), partials, cost_ns=2_000,
+            tag="reduce_dt", spec=_REDUCE_SPEC,
         )
-        return final
+
+    def _phase(
+        self, phase: _Phase, dep: tuple[Future, ...]
+    ) -> tuple[Future, ...]:
+        """One phase's chains per partition, closed by its barrier.
+
+        Returns what the next phase depends on: the barrier, or nothing
+        once Fig. 5's blocking flushes have run everything.
+        """
+        n = self.shape.num_elem if phase.elements else self.shape.num_node
+        p = self.nodal_partition if phase.nodal else self.elements_partition
+        ranges = partition_layout(n, p, self.balanced_partitions)
+        if not self.variant.chain_kernels:
+            # Each loop streams the whole phase domain between barriers.
+            for tag, group in phase.unchained_loops():
+                self.rt.wait_all([
+                    self._chain(group, lo, hi, (), tag, reuse_items=n)
+                    for lo, hi in ranges
+                ])
+            return ()
+        parallel = self.variant.parallel_chains
+        finals: list[Future] = []
+        for lo, hi in ranges:
+            fut: Future | None = None
+            for tag, group in phase.chains:
+                deps = dep if parallel or fut is None else (fut,)
+                fut = self._chain(group, lo, hi, deps, tag)
+                finals.append(fut)
+        return (self.rt.when_all(finals, tag=phase.barrier),)
+
+    def _bc(self, dep: tuple[Future, ...]) -> tuple[Future, ...]:
+        """The serial symmetry-plane BC (three planes, one task)."""
+        fut = self.rt.async_(
+            _spec_body(self.domain, _BC_SPEC),
+            cost_ns=int(round(3 * _BC.rate_ns(self.costs)
+                              * self.shape.num_symm_nodes)),
+            tag=_BC.name, depends=dep,
+            idempotent=spec_is_idempotent(_BC_SPEC), spec=_BC_SPEC,
+        )
+        if self.variant.chain_kernels:
+            return (fut,)
+        self.rt.wait_all([fut])
+        return ()
+
+    def _regions(self, dep: tuple[Future, ...]) -> list[Future]:
+        """Every region's chains; returns their constraint tasks.
+
+        Region EOS gathers cross partition boundaries (region element lists
+        are scattered), so the chains wait on the whole prologue phase.
+        Without the Fig.-8 insight regions run one after another (the
+        reference's call order): each region's chains also wait for the
+        previous region's gate, while partitions within a region still run
+        in parallel.  Fig. 5 flushes after every region.
+        """
+        shape = self.shape
+        chain = self.variant.chain_kernels
+        gated = chain and not self.variant.parallel_chains
+        partials: list[Future] = []
+        deps = dep
+        for r in range(shape.num_regions):
+            futs = [
+                self._region_chain(r, lo, hi, deps)
+                for lo, hi in partition_layout(
+                    shape.region_sizes[r], self.elements_partition,
+                    self.balanced_partitions,
+                )
+            ]
+            partials += futs
+            if not chain:
+                self.rt.wait_all(futs)
+            elif gated:
+                deps = (*dep, self.rt.when_all(futs, tag=f"region_gate[{r}]"))
+        return partials
+
+    @property
+    def barriers_per_iteration(self) -> int:
+        """Synchronization points of one iteration, read off the phase table.
+
+        Chained (Figs. 6-8): every phase barrier, the serial BC and the
+        final reduce (B1, B2, BC, B4, B5, B6, B7: the paper's seven), plus
+        one gate per region while regions run one after another.  Fig. 5:
+        one blocking flush per loop, BC and region, plus the reduce.
+        """
+        v = self.variant
+        n_regions = self.shape.num_regions
+        if v.chain_kernels:
+            joins = len(_PHASES) + (0 if v.parallel_chains else n_regions)
+        else:
+            joins = n_regions + sum(
+                len(phase.unchained_loops()) for phase in _PHASES
+            )
+        return joins + sum(phase.serial_bc for phase in _PHASES) + 1
 
     def _region_chain(
-        self, r: int, rep: int, lo: int, hi: int, depends: Sequence[Future]
+        self, r: int, lo: int, hi: int, depends: Sequence[Future]
     ) -> Future:
         """monoq -> EOS(xrep) -> constraints for one region partition."""
+        rep = self.shape.region_reps[r]
         priority = (
             1
             if self.variant.prioritize_expensive_regions and rep >= 10
@@ -642,8 +625,7 @@ class HpxLuleshProgram(GraphCycleProgram):
         fut = self._chain(_REGION, lo, hi, depends, f"region{r}",
                           priority=priority, region=r, rep=rep)
         # Constraint task returns its partial minima (consumed by reduce).
-        spec = TaskSpec("constraints", tuple(k.name for k in _CONSTRAINTS),
-                        lo, hi, r)
+        spec = TaskSpec("constraints", _CONSTRAINT_NAMES, lo, hi, r)
         if self.domain is None:
             body = lambda _f: (1.0e20, 1.0e20)
         else:

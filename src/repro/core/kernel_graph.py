@@ -14,6 +14,12 @@ module is the single source of truth for:
   program attaches a spec to every work task it creates;
   :func:`execute_spec` runs a spec against a Domain, whether in a simulated
   task body or in a worker process, so both paths run the same code;
+* :data:`REFERENCE_LOOPS` — the reference's loop sequence, one
+  :class:`RefLoop` per loop: its OpenMP region name, its naive tag, its
+  kernel, index range, rate share and loop count, and what its body does.
+  The OpenMP port walks it as parallel regions of loops and the naive port
+  as blocking ``for_each`` loops (:func:`reference_iteration`), so both
+  issue the same loops in the same order;
 * :class:`ProblemShape` — the sizes the *simulated* runs need (element/node
   counts, region sizes and repetition factors) without allocating the full
   physics state, so timing-only experiments scale to s=150.
@@ -22,7 +28,9 @@ module is the single source of truth for:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts, iteration_work_ns
 from repro.lulesh.domain import Domain
@@ -35,6 +43,7 @@ from repro.lulesh.kernels import stress as stress_k
 from repro.lulesh.kernels.constraints import (
     calc_courant_constraint,
     calc_hydro_constraint,
+    reduce_time_constraints,
 )
 from repro.lulesh.options import LuleshOptions
 from repro.lulesh.regions import RegionSet
@@ -42,10 +51,15 @@ from repro.lulesh.regions import RegionSet
 __all__ = [
     "EOS_LOOPS_PER_REP",
     "KERNELS",
+    "REFERENCE_LOOPS",
+    "IssuedLoop",
     "Kernel",
     "ProblemShape",
+    "RefLoop",
     "TaskSpec",
+    "apply_time_constraints",
     "execute_spec",
+    "reference_iteration",
     "spec_is_idempotent",
 ]
 
@@ -104,14 +118,6 @@ class Kernel:
         if self.per_rep:
             return self.body(domain, elems, rep, lo, hi)
         return self.body(domain, elems, lo, hi)
-
-    def bind(
-        self, domain, region: int = -1, rep: int = 0
-    ) -> Callable[[int, int], object] | None:
-        """``body(lo, hi)`` over *domain*; ``None`` in timing-only mode."""
-        if domain is None:
-            return None
-        return lambda lo, hi: self.run(domain, lo, hi, region, rep)
 
 
 def _zero_forces(domain, lo: int, hi: int) -> None:
@@ -188,6 +194,155 @@ KERNELS: dict[str, Kernel] = {
         Kernel("hydro", "hydro", calc_hydro_constraint, per_region=True),
     )
 }
+
+
+# What a reference loop's body does (``RefLoop.body``).
+CHUNKS = "chunks"  # the kernel over each chunk
+COST = "cost"  # nothing: the loop only charges its cost
+ONCE = "once"  # the kernel over the whole range, from the first chunk
+MIN = "min"  # the kernel over each chunk, folded into a running minimum
+
+
+class RefLoop(NamedTuple):
+    """One loop of the reference's leapfrog iteration (the non-task ports).
+
+    ``region`` names the OpenMP parallel region (consecutive entries of one
+    name share it); ``tag`` the naive port's ``for_each``, by default the
+    kernel's name.  ``items`` is the index range: ``elem``, ``node``,
+    ``symm`` (one symmetry plane) or ``region`` (one material region's
+    elements: the entry runs once per material region, ``[r]`` appended to
+    both names).  Each loop charges ``share`` of the kernel's rate; the
+    entry issues ``loops`` loops (per repetition for a ``per_rep`` kernel),
+    and only the first carries the body.
+    """
+
+    region: str
+    kernel: str
+    items: str
+    tag: str = ""
+    share: float = 1.0
+    loops: int = 1
+    body: str = CHUNKS
+
+
+#: The reference's loops in issue order: ``omp_iteration`` walks them as
+#: parallel regions of loops, ``naive_iteration`` as blocking ``for_each``.
+REFERENCE_LOOPS: tuple[RefLoop, ...] = (
+    # LagrangeNodal.  The force sum is two half-cost collection loops, one
+    # per force buffer; the real body runs in the second.
+    RefLoop("CalcForceForNodes", "zero_forces", "node"),
+    RefLoop("InitStressTerms", "init_stress", "elem"),
+    RefLoop("IntegrateStress", "integrate_stress", "elem"),
+    RefLoop("IntegrateStress", "sum_forces", "node", "collect_stress",
+            share=0.5, body=COST),
+    RefLoop("CalcHourglassControl", "hg_control", "elem"),
+    RefLoop("CalcFBHourglassForce", "fb_hourglass", "elem"),
+    RefLoop("CalcFBHourglassForce", "sum_forces", "node", "collect_hg",
+            share=0.5),
+    RefLoop("CalcAccelerationForNodes", "acceleration", "node"),
+    # One loop per symmetry plane; the body applies all three.
+    RefLoop("ApplyAccelerationBC", "accel_bc", "symm", loops=3, body=ONCE),
+    RefLoop("CalcVelocityForNodes", "velocity", "node"),
+    RefLoop("CalcPositionForNodes", "position", "node"),
+    # LagrangeElements
+    RefLoop("CalcKinematics", "kinematics", "elem"),
+    RefLoop("CalcLagrangeElements", "strain_rates", "elem"),
+    RefLoop("CalcMonotonicQGradients", "monoq_gradients", "elem",
+            "q_gradients"),
+    RefLoop("MonotonicQRegion", "monoq_region", "region", "monoq"),
+    RefLoop("QStopCheck", "qstop_check", "elem"),
+    RefLoop("ApplyMaterialProperties", "material_prologue", "elem",
+            "prologue"),
+    # EOS_LOOPS_PER_REP tiny loops per repetition, each with its own
+    # barrier: the structure that shrinks per-loop work as regions grow.
+    RefLoop("EvalEOS", "eos", "region", share=1 / EOS_LOOPS_PER_REP,
+            loops=EOS_LOOPS_PER_REP, body=ONCE),
+    RefLoop("UpdateVolumes", "update_volumes", "elem"),
+    # CalcTimeConstraints
+    RefLoop("TimeConstraints", "courant", "region", body=MIN),
+    RefLoop("TimeConstraints", "hydro", "region", body=MIN),
+)
+
+# The loops grouped into parallel regions.
+_REFERENCE_REGIONS = tuple(
+    (name, tuple(loops))
+    for name, loops in groupby(REFERENCE_LOOPS, key=attrgetter("region"))
+)
+
+
+class IssuedLoop(NamedTuple):
+    """One :class:`RefLoop` entry bound to a shape, costs and domain."""
+
+    tag: str
+    n: int
+    rate: float  # ns per item of each loop
+    body: Callable[[int, int], object] | None  # the first loop's
+    count: int
+    idempotent: bool
+
+
+def reference_iteration(
+    shape: ProblemShape,
+    costs: KernelCosts,
+    domain: Domain | None,
+    minima: dict[str, float],
+) -> Iterator[tuple[str, list[IssuedLoop]]]:
+    """Yield ``(region name, issued loops)`` per parallel region, in order.
+
+    Bodies are ``None`` without a *domain*; :data:`MIN` bodies fold their
+    kernel's running minimum into *minima* under the kernel's name.
+    """
+    sizes = {"elem": shape.num_elem, "node": shape.num_node,
+             "symm": shape.num_symm_nodes}
+    for name, loops in _REFERENCE_REGIONS:
+        per_region = loops[0].items == "region"
+        for r in range(shape.num_regions) if per_region else (-1,):
+            issued = []
+            for lp in loops:
+                k = KERNELS[lp.kernel]
+                tag = lp.tag or lp.kernel
+                n, rep = sizes.get(lp.items, 0), 0
+                if per_region:
+                    tag = f"{tag}[{r}]"
+                    n, rep = shape.region_sizes[r], shape.region_reps[r]
+                issued.append(IssuedLoop(
+                    tag, n, k.rate_ns(costs) * lp.share,
+                    _ref_body(lp.body, k, domain, minima, r, rep, n),
+                    lp.loops * rep if k.per_rep else lp.loops, k.idempotent,
+                ))
+            yield (f"{name}[{r}]" if per_region else name), issued
+
+
+def _ref_body(
+    kind: str, k: Kernel, domain: Domain | None, minima: dict[str, float],
+    r: int, rep: int, n: int,
+) -> Callable[[int, int], object] | None:
+    if domain is None or kind == COST:
+        return None
+    if kind == CHUNKS:
+        return lambda lo, hi: k.run(domain, lo, hi, r, rep)
+    if kind == ONCE:
+        def once(lo: int, hi: int) -> None:
+            if lo == 0:
+                k.run(domain, 0, n, r, rep)
+
+        return once
+
+    def fold(lo: int, hi: int) -> None:
+        minima[k.name] = min(minima.get(k.name, 1.0e20),
+                             k.run(domain, lo, hi, r))
+
+    return fold
+
+
+def apply_time_constraints(domain: Domain, minima: dict[str, float]) -> None:
+    """Set the next timestep from the minima the :data:`MIN` loops folded.
+
+    A kernel that folded nothing contributes ``1e20``: no constraint.
+    """
+    reduce_time_constraints(
+        domain, minima.get("courant", 1.0e20), minima.get("hydro", 1.0e20)
+    )
 
 
 class TaskSpec(NamedTuple):

@@ -116,6 +116,24 @@ class TestWhenAllAggregation:
         # the tag names the task whose body raised, not the barrier
         assert exc.tags == ("root",)
 
+    def test_short_circuits_keep_the_root_tag(self, rt):
+        root = rt.async_(_boom, tag="root")
+        chain_end = rt.continuation(root, lambda _f: None, tag="chain_end")
+        after = rt.async_(lambda: None, tag="after", depends=(root,))
+        gate = rt.when_all([chain_end, after])
+        rt.flush()
+        assert chain_end.failed_tag == after.failed_tag == "root"
+        # one root failure reaching the barrier twice is recorded once
+        assert gate.exception_nowait().tags == ("root",)
+
+    def test_wait_all_names_the_root_tag(self, rt):
+        root = rt.async_(_boom, tag="root")
+        ends = [rt.continuation(root, lambda _f: None, tag=f"end{i}")
+                for i in range(2)]
+        with pytest.raises(TaskGroupError) as info:
+            rt.wait_all(ends)
+        assert info.value.tags == ("root",)
+
     def test_dataflow_short_circuits(self, rt):
         ran = []
         bad = rt.async_(_boom, tag="bad")

@@ -53,11 +53,29 @@ class TestGraphStructure:
         rt, program = make_program()
         program.build_iteration()
         rt.flush()
-        # B1 forces, B2 accel, B4 positions, B5 gradients, B6 prologue,
-        # the dataflow gate of the final reduction, and the BC join = 7
-        # synchronization points; barriers_per_iteration counts the
-        # when_all nodes (6) plus the final gate.
-        assert program.barriers_per_iteration == 6
+        # B1 forces, B2 accel, the serial BC, B4 positions, B5 gradients,
+        # B6 prologue and the B7 reduction = 7 synchronization points.
+        assert program.barriers_per_iteration == 7
+
+    def test_barrier_count_matches_built_graph(self):
+        # Figs. 6/7 add one gate per region (regions run one after
+        # another); Fig. 5 has one blocking flush per loop, BC and region,
+        # plus the reduce.
+        for variant in (HpxVariant.fig6(), HpxVariant.fig7()):
+            rt, program = make_program(variant=variant)
+            rt.begin_capture()
+            program.build_iteration()
+            rt.flush()
+            tasks = rt.end_capture().segments[0].tasks
+            joins = sum(t.tag.startswith(("B", "region_gate")) for t in tasks)
+            bc = sum(t.tag == "accel_bc" for t in tasks)
+            assert program.barriers_per_iteration == joins + bc + 1
+            assert program.barriers_per_iteration == 7 + OPTS.numReg
+        rt, program = make_program(variant=HpxVariant.fig5())
+        program.build_iteration()
+        rt.flush()
+        # every blocking flush, plus the final flush running the reduce
+        assert program.barriers_per_iteration == rt.stats.n_flushes
 
     def test_task_count_scales_with_partitions(self):
         rt_fine, prog_fine = make_program(partition=8)

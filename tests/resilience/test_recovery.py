@@ -167,6 +167,28 @@ class TestEndToEndRecovery:
         assert plan.stats.rollbacks == 1
         assert plan.stats.degraded_cycles == 0  # transient: no degradation
 
+    def test_bc_fault_is_replayed_bit_identically(self, opts):
+        # The kernel table declares the symmetry-plane BC idempotent, so
+        # the task-based program may re-run it in place.
+        base = self._baseline(opts)
+        plan = ResiliencePlan(
+            inject=("task:accel_bc@3",), fault_seed=1, max_retries=3,
+        )
+        res = run_hpx(opts, 4, 6, execute=True, resilience=plan)
+        assert plan.stats.injected_faults == 1
+        assert plan.stats.retries == 1
+        assert res.domain.origin_energy() == base.domain.origin_energy()
+        for f in ("x", "xd", "e", "p", "q", "v"):
+            assert np.array_equal(getattr(res.domain, f),
+                                  getattr(base.domain, f)), f
+
+    def test_unreplayed_fault_names_the_task_that_raised(self, opts):
+        # Not the velocity/position chains that short-circuited over it.
+        plan = ResiliencePlan(inject=("task:accel_bc@3",), fault_seed=1)
+        with pytest.raises(TaskGroupError) as ei:
+            run_hpx(opts, 4, 6, execute=True, resilience=plan)
+        assert ei.value.tags == ("accel_bc",)
+
     def test_field_corruption_detected_and_recovered(self, opts):
         base = self._baseline(opts)
         plan = ResiliencePlan(
